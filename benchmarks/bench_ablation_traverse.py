@@ -5,8 +5,7 @@ Two knobs the paper's design argues for:
 * **batching**: ConditionalTraverse multiplies a whole batch of source
   rows per matrix product.  batch=1 degrades to per-record products
   (pointer-chasing-with-matrices).  The knob is ``exec_batch_size``
-  (which since ISSUE 5 batches the whole operator pipeline, traversal
-  included; ``traverse_batch_size`` remains as a deprecated alias).
+  (which batches the whole operator pipeline, traversal included).
 * **algebra vs adjacency**: the same 2-hop count through the matrix
   engine vs a per-row Python adjacency walk.
 """

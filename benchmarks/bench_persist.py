@@ -1,33 +1,30 @@
-"""Persistence ablation — columnar v2 snapshots vs the legacy v1 format,
-plus cold-start recovery (snapshot + write-log tail).
+"""Persistence timings — columnar snapshot save/load plus cold-start
+recovery (snapshot + write-log tail).
 
 The durability story only matters if recovery is fast: Redis restarts are
-dominated by RDB load time, and RedisGraph inherits that.  The legacy v1
-format serialized node/edge records through per-entity Python loops into
-JSON embedded in an npz and *replayed* edges into the matrices on load;
-v2 dumps typed numpy columns and re-installs the CSR arrays directly, so
-load cost is dominated by record reconstruction, not matrix rebuilds.
+dominated by RDB load time, and RedisGraph inherits that.  Snapshots dump
+typed numpy columns and re-install the CSR arrays directly, so load cost
+is dominated by record reconstruction, not matrix rebuilds.
 
 Arms (graph shape: ``REPRO_BENCH_PERSIST_EDGES`` recorded edges with a
 property, default 100k, between 2x as many nodes with properties):
 
-* ``save`` / ``load`` x ``v2`` / ``v1`` — snapshot throughput both ways,
-* ``recovery`` — a cold start from data dir: v2 snapshot plus a
+* ``save`` / ``load`` — snapshot throughput both ways,
+* ``recovery`` — a cold start from data dir: snapshot plus a
   ``REPRO_BENCH_PERSIST_TAIL`` (default 500) record write-log tail.
 
-Headline (runs even with ``--benchmark-disable``): v2 load must be >=
-3x faster than v1 load (``REPRO_BENCH_PERSIST_SPEEDUP_MIN`` overrides).
+No ratio is asserted here: end-to-end cold recovery is tracked by
+``recover_s`` on the ledger's ``social_mix`` workload.
 """
 
 import io
 import os
-import time
 
 import pytest
 
 from repro import GraphDB
 from repro.graph.config import GraphConfig
-from repro.graph.persist import load_graph, save_graph, save_graph_v1
+from repro.graph.persist import load_graph, save_graph
 
 N_EDGES = int(os.environ.get("REPRO_BENCH_PERSIST_EDGES", "100000"))
 TAIL_RECORDS = int(os.environ.get("REPRO_BENCH_PERSIST_TAIL", "500"))
@@ -36,7 +33,7 @@ TAIL_RECORDS = int(os.environ.get("REPRO_BENCH_PERSIST_TAIL", "500"))
 @pytest.fixture(scope="module")
 def db():
     """~N_EDGES recorded edges (with a property) between 2N propertied
-    nodes, plus an index — the surfaces both formats must carry."""
+    nodes, plus an index — the surfaces a snapshot must carry."""
     d = GraphDB("persist-bench", GraphConfig(node_capacity=max(16, 2 * N_EDGES)))
     ids = list(range(N_EDGES))
     d.bulk_insert(
@@ -52,31 +49,21 @@ def db():
     return d
 
 
-def buffer_of(saver, graph) -> io.BytesIO:
+def snapshot_of(graph) -> io.BytesIO:
     buf = io.BytesIO()
-    saver(graph, buf)
+    save_graph(graph, buf)
     buf.seek(0)
     return buf
 
 
 @pytest.fixture(scope="module")
-def v2_file(db):
-    return buffer_of(save_graph, db.graph)
+def snapshot_file(db):
+    return snapshot_of(db.graph)
 
 
-@pytest.fixture(scope="module")
-def v1_file(db):
-    return buffer_of(save_graph_v1, db.graph)
-
-
-def test_save_v2(benchmark, db):
-    benchmark.extra_info.update(mode="save-v2", edges=N_EDGES)
-    benchmark(lambda: buffer_of(save_graph, db.graph))
-
-
-def test_save_v1(benchmark, db):
-    benchmark.extra_info.update(mode="save-v1", edges=N_EDGES)
-    benchmark(lambda: buffer_of(save_graph_v1, db.graph))
+def test_save(benchmark, db):
+    benchmark.extra_info.update(mode="save", edges=N_EDGES)
+    benchmark(snapshot_of, db.graph)
 
 
 def load_from(buf: io.BytesIO):
@@ -84,21 +71,16 @@ def load_from(buf: io.BytesIO):
     return load_graph(buf)
 
 
-def test_load_v2(benchmark, db, v2_file):
-    benchmark.extra_info.update(mode="load-v2", edges=N_EDGES)
-    graph = benchmark(load_from, v2_file)
+def test_load(benchmark, db, snapshot_file):
+    benchmark.extra_info.update(mode="load", edges=N_EDGES)
+    graph = benchmark(load_from, snapshot_file)
     assert graph.edge_count == db.graph.edge_count
-
-
-def test_load_v1(benchmark, db, v1_file):
-    benchmark.extra_info.update(mode="load-v1", edges=N_EDGES)
-    graph = benchmark(load_from, v1_file)
-    assert graph.edge_count == db.graph.edge_count
+    assert graph.node_count == db.graph.node_count
 
 
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory, db):
-    """A durable data dir: v2 snapshot of the big graph + a log tail."""
+    """A durable data dir: snapshot of the big graph + a log tail."""
     from repro.rediskv.durability import DurabilityManager
     from repro.rediskv.graph_module import GraphModule
     from repro.rediskv.keyspace import Keyspace
@@ -141,29 +123,3 @@ def test_cold_start_recovery(benchmark, data_dir):
     assert restored.query("MATCH (:V)-[:E]->(b) RETURN count(b)").scalar() == N_EDGES
     assert restored.query("MATCH (n:T) RETURN count(n)").scalar() == TAIL_RECORDS
 
-
-def test_load_speedup_headline(db, v1_file, v2_file):
-    """The acceptance check itself (runs even with --benchmark-disable):
-    v2 cold load >= 3x faster than v1 on the ~100k-edge graph.  Best-of-2
-    per side smooths allocator warmup."""
-    floor = float(os.environ.get("REPRO_BENCH_PERSIST_SPEEDUP_MIN", "3"))
-
-    def best_of(trials, fn):
-        best = float("inf")
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    v1_time = best_of(2, lambda: load_from(v1_file))
-    v2_time = best_of(2, lambda: load_from(v2_file))
-    graph = load_from(v2_file)
-    assert graph.node_count == db.graph.node_count
-
-    speedup = v1_time / v2_time
-    print(
-        f"\nsnapshot load @ {N_EDGES} edges: v2={v2_time:.3f}s v1={v1_time:.3f}s "
-        f"-> {speedup:.1f}x"
-    )
-    assert speedup >= floor, f"v2 load only {speedup:.1f}x faster than v1 (need >= {floor}x)"

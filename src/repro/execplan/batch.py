@@ -23,8 +23,9 @@ values escaping a batch are indistinguishable from row-engine values.
 Column ops used by the operators: :meth:`RecordBatch.take` (row gather),
 :meth:`RecordBatch.compress` (boolean-mask filter), :meth:`RecordBatch.
 slice`, :meth:`RecordBatch.concat`, and :meth:`RecordBatch.from_rows` /
-:meth:`RecordBatch.iter_rows` — the bridges that let row-oriented
-operators (updates, Apply subtrees) interoperate with batch-native ones.
+:meth:`RecordBatch.iter_rows` — what an operator with per-record
+semantics (updates, MERGE) uses *inside* itself; batches are the only
+thing that crosses an operator boundary.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ class EntityColumn:
             col._props = {k: v.slice(start, stop) for k, v in self._props.items()}
         return col
 
+    def forget_properties(self) -> "EntityColumn":
+        """The same ids and handles minus the memoised property gathers —
+        what a write operator hands downstream, since it may just have
+        changed the properties the memo captured."""
+        col = EntityColumn(self.kind, self.ids, self.graph)
+        col._objects = self._objects
+        return col
+
     def null_mask(self) -> np.ndarray:
         return self.ids < 0
 
@@ -233,8 +242,8 @@ def null_column(n: int) -> ValueColumn:
 def as_entity_ids(col: Column) -> Optional[Tuple[str, np.ndarray]]:
     """``(kind, ids)`` when ``col`` is entity-shaped: a real EntityColumn,
     or an object column of homogeneous Node/Edge handles (with None holes)
-    as produced by the row bridges.  None when the column holds anything
-    else — callers then fall back to per-row evaluation."""
+    as produced by :meth:`RecordBatch.from_rows`.  None when the column
+    holds anything else — callers then fall back to per-row evaluation."""
     if isinstance(col, EntityColumn):
         return col.kind, col.ids
     if isinstance(col, ValueColumn) and col.values.dtype == object:
@@ -322,6 +331,13 @@ class RecordBatch:
             length=max(0, stop - start),
         )
 
+    def forget_properties(self) -> "RecordBatch":
+        """See :meth:`EntityColumn.forget_properties`."""
+        columns = [
+            c.forget_properties() if isinstance(c, EntityColumn) else c for c in self.columns
+        ]
+        return RecordBatch(self.layout, columns, length=self.length)
+
     def chunks(self, size: int) -> Iterator["RecordBatch"]:
         """The batch re-sliced to at most ``size`` rows per piece (the
         whole batch, zero-copy, when it already fits)."""
@@ -353,10 +369,19 @@ class RecordBatch:
         columns: List[Column] = []
         for slot in range(len(layout)):
             cols = [b.columns[slot] for b in batches]
-            if all(isinstance(c, EntityColumn) for c in cols) and len({c.kind for c in cols}) == 1:
-                columns.append(
-                    EntityColumn(cols[0].kind, np.concatenate([c.ids for c in cols]), cols[0].graph)
-                )
+            entity = [c for c in cols if isinstance(c, EntityColumn)]
+            # an entity slot stays an id vector; all-null pieces (OPTIONAL
+            # MATCH null-extension) join it as -1 holes
+            if (
+                entity
+                and len({c.kind for c in entity}) == 1
+                and all(isinstance(c, EntityColumn) or c.null_mask().all() for c in cols)
+            ):
+                ids = [
+                    c.ids if isinstance(c, EntityColumn) else np.full(len(c), -1, dtype=_I64)
+                    for c in cols
+                ]
+                columns.append(EntityColumn(entity[0].kind, np.concatenate(ids), entity[0].graph))
             else:
                 columns.append(
                     ValueColumn(np.concatenate([c.to_objects() for c in cols]))

@@ -171,14 +171,12 @@ class QueryEngine:
                 columns = planned.columns
                 if not column_data:
                     column_data = [[] for _ in columns]
-                for batch in planned.root.produce_batches(ctx):
-                    if not batch.length:
-                        continue
-                    for out, col in zip(column_data, batch.columns):
-                        out.extend(col.to_objects().tolist())
-            else:
-                for _ in planned.root.produce(ctx):
-                    pass  # update-only: drain for side effects
+            for batch in planned.root.produce_batches(ctx):
+                # update-only parts drain for their side effects
+                if planned.columns is None or not batch.length:
+                    continue
+                for out, col in zip(column_data, batch.columns):
+                    out.extend(col.to_objects().tolist())
         if len(compiled.plans) > 1 and not compiled.union_all:
             from repro.execplan.ops_stream import _hashable
 

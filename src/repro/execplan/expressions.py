@@ -36,7 +36,7 @@ class ExecContext:
     :mod:`repro.execplan.plan_cache`), ALL mutable per-run state lives
     here rather than on the plan operations themselves:
 
-    * ``args`` — records seeded into :class:`~repro.execplan.ops_base.
+    * ``args`` — one-row batches seeded into :class:`~repro.execplan.ops_base.
       Argument` leaves by Apply-style operators (OPTIONAL MATCH / MERGE),
       keyed by the Argument's compile-time id,
     * ``profile`` — the run's :class:`~repro.execplan.profiling.

@@ -2,21 +2,24 @@
 
 Operations form a tree evaluated Volcano-style at *batch* granularity:
 ``produce_batches(ctx)`` returns a fresh generator of
-:class:`~repro.execplan.batch.RecordBatch` columnar batches, and
-``produce(ctx)`` the equivalent row stream.  Both must be re-invocable
-(Apply-style operators re-run their subtree once per outer record) **and
-re-entrant across threads**: compiled plans are cached and shared (see
+:class:`~repro.execplan.batch.RecordBatch` columnar batches — the one
+contract between operators.  An operation whose semantics are
+per-record (the Apply-style ops re-seed their :class:`Argument` once per
+outer record; the write ops mutate the graph one record at a time) walks
+``batch.iter_rows()`` *inside* itself; nothing row-shaped crosses an
+operator boundary.  ``exec_batch_size=1`` is therefore a batch-of-one run
+of the same code, not a second engine.
+
+The stream must be re-invocable (Apply-style operators re-run their
+subtree once per outer record) **and re-entrant across threads**:
+compiled plans are cached and shared (see
 :mod:`repro.execplan.plan_cache`), so an operation object may be executed
 by many concurrent readers at once.  Subclasses therefore implement
-``_produce_batches`` (batch-native operators) or ``_produce``
-(row-oriented operators — updates, Apply subplans) with all state in
-generator locals or in the per-run :class:`~repro.execplan.expressions.
-ExecContext` — never on the operation object; the base class derives the
-missing form automatically (rows are chunked into ``ctx.batch_size``
-batches, batches explode into rows), so batch-native and row operators
-compose freely in one tree.  The public ``produce``/``produce_batches``
-wrappers are also where per-run PROFILE metering attaches
-(``ctx.profile``), so profiling never mutates a cached plan.
+``_produce_batches`` with all state in generator locals or in the per-run
+:class:`~repro.execplan.expressions.ExecContext` — never on the operation
+object.  The public ``produce_batches`` wrapper is also where per-run
+PROFILE metering attaches (``ctx.profile``), so profiling never mutates a
+cached plan.
 """
 
 from __future__ import annotations
@@ -26,11 +29,20 @@ from typing import Callable, Iterator, List, Optional
 
 from repro.execplan.batch import RecordBatch
 from repro.execplan.expressions import ExecContext
-from repro.execplan.record import Layout, Record
+from repro.execplan.record import Layout
 
-__all__ = ["PlanOp", "Unit", "Argument"]
+__all__ = ["PlanOp", "Unit", "Argument", "rechunk"]
 
 _argument_ids = itertools.count()
+
+
+def rechunk(source: Iterator[RecordBatch], size: int) -> Iterator[RecordBatch]:
+    """Split oversized batches (an upstream Unwind or traversal fan-out
+    may overshoot) to the configured granularity: one frontier matrix
+    never exceeds it, and at ``exec_batch_size=1`` a per-record operator
+    sees exactly one record per batch."""
+    for batch in source:
+        yield from batch.chunks(size)
 
 
 class PlanOp:
@@ -42,42 +54,17 @@ class PlanOp:
         self.children = children
         self.out_layout = out_layout
 
-    def produce(self, ctx: ExecContext) -> Iterator[Record]:
-        """The operation's record stream for one execution (metered when
-        the run profiles).  Final: subclasses implement ``_produce`` or
-        ``_produce_batches``."""
-        gen = self._produce(ctx)
-        if ctx.profile is not None:
-            return ctx.profile.wrap(self, gen)
-        return gen
-
     def produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         """The operation's columnar batch stream for one execution
-        (metered when the run profiles)."""
+        (metered when the run profiles).  Final: subclasses implement
+        ``_produce_batches``."""
         gen = self._produce_batches(ctx)
         if ctx.profile is not None:
             return ctx.profile.wrap_batches(self, gen)
         return gen
 
-    # Exactly one of the following is overridden by each concrete
-    # operation; the other derives from it.  The derivations call the
-    # *private* sibling so a pull is metered once, at the public entry
-    # the parent actually used.
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        for batch in self._produce_batches(ctx):
-            yield from batch.iter_rows()
-
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        size = ctx.batch_size
-        layout = self.out_layout
-        rows: List[Record] = []
-        for record in self._produce(ctx):
-            rows.append(record)
-            if len(rows) >= size:
-                yield RecordBatch.from_rows(layout, rows)
-                rows = []
-        if rows:
-            yield RecordBatch.from_rows(layout, rows)
+        raise NotImplementedError
 
     # -- morsel parallelism ----------------------------------------------
     def partitions(self, ctx: ExecContext) -> Optional[List[Callable[[], Iterator[RecordBatch]]]]:
@@ -145,13 +132,14 @@ class Unit(PlanOp):
     def __init__(self) -> None:
         super().__init__([], Layout())
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        yield self.out_layout.new_record()
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        yield RecordBatch(self.out_layout, [], length=1)
 
 
 class Argument(PlanOp):
-    """Leaf that replays a seeded record — the entry point of Apply-style
-    subplans (OPTIONAL MATCH / MERGE match arms), as in RedisGraph.
+    """Leaf that replays a seeded one-row batch — the entry point of
+    Apply-style subplans (OPTIONAL MATCH / MERGE match arms), as in
+    RedisGraph.
 
     The seed lives in ``ctx.args`` keyed by this Argument's compile-time
     id, NOT on the operation: concurrent executions of one cached plan
@@ -164,10 +152,8 @@ class Argument(PlanOp):
         super().__init__([], layout)
         self._arg_id = next(_argument_ids)
 
-    def seed(self, ctx: ExecContext, record: Record) -> None:
-        ctx.args[self._arg_id] = record
+    def seed(self, ctx: ExecContext, row: RecordBatch) -> None:
+        ctx.args[self._arg_id] = row
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        record: Optional[Record] = ctx.args.get(self._arg_id)
-        assert record is not None, "Argument not seeded"
-        yield list(record)
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        yield ctx.args[self._arg_id]

@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.errors import GraphError
 from repro.algorithms import bfs_parents
 from repro.execplan.algebraic import AlgebraicExpression
+from repro.execplan.batch import RecordBatch, ValueColumn, object_column
 from repro.execplan.expressions import ExecContext
 from repro.execplan.ops_base import PlanOp
 from repro.execplan.ops_traverse import _edge_candidates
@@ -72,19 +73,16 @@ class ProjectPath(PlanOp):
         out_layout = child.out_layout.extend(path_var)
         super().__init__([child], out_layout)
         self._path_var = path_var
-        self._path_slot = out_layout.slot(path_var)
         self._node_slots = node_slots
         self._segments = segments
 
     def describe(self) -> str:
         return f"ProjectPath | {self._path_var} ({len(self._segments)} hops)"
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        width = len(self.out_layout)
-        for record in self.children[0].produce(ctx):
-            out = list(record) + [None] * (width - len(record))
-            out[self._path_slot] = self._assemble(ctx, record)
-            yield out
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        for batch in self.children[0].produce_batches(ctx):
+            paths = [self._assemble(ctx, record) for record in batch.iter_rows()]
+            yield batch.extend(self.out_layout, [ValueColumn(object_column(paths))])
 
     # ------------------------------------------------------------------
     def _assemble(self, ctx: ExecContext, record: Record) -> Optional[PathValue]:

@@ -16,13 +16,13 @@ emit :class:`~repro.execplan.batch.RecordBatch` columns —
 Semantics guard rail: every vectorized evaluation that raises a Cypher
 error is retried per row (the scalar closures), so batching can only
 change *when* an error surfaces, never *whether* one does or what a
-result contains; ``exec_batch_size=1`` is exactly the row engine.  One
+result contains; ``exec_batch_size=1`` runs the scalar closures only.  One
 documented exception: ``sum``/``avg`` over *floats* may differ in the
 last ULP across batch sizes — per-batch subtotals re-associate float
 addition (integer sums stay exact below 2**53).
-``ApplyOptional`` stays row-oriented — its contract is inherently
-one-outer-record-at-a-time — and interoperates through the base-class
-row/batch bridges.
+``ApplyOptional`` re-runs its right subtree once per outer record (its
+contract is inherently one-outer-record-at-a-time) but seeds it with, and
+collects from it, columnar batches.
 """
 
 from __future__ import annotations
@@ -1027,9 +1027,10 @@ class CartesianProduct(PlanOp):
 
 class ApplyOptional(PlanOp):
     """OPTIONAL MATCH: run the right subtree once per left record (seeded
-    through its Argument leaf); emit null-extended records when empty.
-    Inherently one-outer-record-at-a-time; the base-class bridges batch
-    its output."""
+    through its Argument leaf as a one-row batch); emit the left record
+    null-extended when the subtree finds nothing.  The per-record pieces
+    are concatenated back to ``exec_batch_size`` granularity — the null
+    holes of an entity column become ``-1`` ids."""
 
     name = "Optional"
 
@@ -1037,20 +1038,29 @@ class ApplyOptional(PlanOp):
         super().__init__([left, right], right.out_layout)
         self._argument = argument
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        width = len(self.out_layout)
-        for record in self.children[0].produce(ctx):
-            self._argument.seed(ctx, record + [None] * (len(self._argument.out_layout) - len(record)))
-            matched = False
-            for out in self.children[1].produce(ctx):
-                matched = True
-                yield out
-            if not matched:
-                yield record + [None] * (width - len(record))
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        layout = self.out_layout
+        size = ctx.batch_size
+        pieces: List[RecordBatch] = []
+        pending = 0
+        for batch in self.children[0].produce_batches(ctx):
+            for i in range(batch.length):
+                row = batch.slice(i, i + 1)
+                self._argument.seed(ctx, row)
+                found = [b for b in self.children[1].produce_batches(ctx) if b.length]
+                if not found:
+                    found = [row.extend(layout, [])]  # null-extended left record
+                pieces.extend(found)
+                pending += sum(b.length for b in found)
+                if pending >= size:
+                    yield from RecordBatch.concat(layout, pieces).chunks(size)
+                    pieces, pending = [], 0
+        if pieces:
+            yield from RecordBatch.concat(layout, pieces).chunks(size)
 
 
 class Results(PlanOp):
-    """Plan root: passes records through (column naming happens in the
+    """Plan root: passes batches through (column naming happens in the
     executor, which owns the final projection and serializes straight
     from the batch columns)."""
 
@@ -1058,9 +1068,6 @@ class Results(PlanOp):
 
     def __init__(self, child: PlanOp) -> None:
         super().__init__([child], child.out_layout)
-
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        return self.children[0].produce(ctx)
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         # the root's pull is where morsel parallelism enters plans whose

@@ -8,7 +8,7 @@ operations on sparse matrices").  The product's COO output stays columnar
 ``take`` gather instead of exploding into per-row Python lists.
 ``ExpandInto`` closes cycles whose both endpoints are already bound;
 ``CondVarLenTraverse`` runs the masked-BFS loop for ``[*min..max]``
-patterns.
+patterns and emits its reached set as an id column the same way.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from repro.errors import GraphError
 from repro.execplan.algebraic import AlgebraicExpression, frontier_matrix
 from repro.execplan.batch import EntityColumn, RecordBatch, as_entity_ids
 from repro.execplan.expressions import ExecContext
-from repro.execplan.ops_base import PlanOp
-from repro.execplan.record import Layout, Record
-from repro.graph.entities import Edge, Node
+from repro.execplan.ops_base import PlanOp, rechunk
 from repro.grblas import Mask, Vector, semiring
 from repro.grblas.descriptor import Descriptor
 
@@ -33,21 +31,26 @@ _REPLACE = Descriptor(replace=True)
 _I64 = np.int64
 
 
-def _src_ids(batch: RecordBatch, slot: int) -> np.ndarray:
-    """Source-node id vector of a batch column (handles either column
-    form; traversal sources are never null, as in the row engine)."""
-    entity = as_entity_ids(batch.columns[slot])
-    if entity is not None:
-        return entity[1]
-    values = batch.columns[slot].to_objects()
-    return np.fromiter((v.id for v in values), dtype=_I64, count=batch.length)
-
-
-def _rechunk(source: Iterator[RecordBatch], size: int) -> Iterator[RecordBatch]:
-    """Split oversized batches (an upstream Unwind may overshoot) so one
-    frontier matrix never exceeds the configured granularity."""
-    for batch in source:
-        yield from batch.chunks(size)
+def _bound_rows(batch: RecordBatch, *slots: int) -> Tuple[RecordBatch, List[np.ndarray]]:
+    """The rows of ``batch`` whose node in every one of ``slots`` is
+    bound, plus the id vector of each slot.  An enclosing OPTIONAL MATCH
+    leaves null holes (``-1`` ids, or ``None`` in an object column); there
+    is nothing to traverse from a null, so those rows yield no match."""
+    ids = []
+    for slot in slots:
+        col = batch.columns[slot]
+        entity = as_entity_ids(col)
+        if entity is None:  # an object column that is all holes
+            holes = (-1 if v is None else v.id for v in col.to_objects())
+            ids.append(np.fromiter(holes, dtype=_I64, count=batch.length))
+        else:
+            ids.append(entity[1])
+    bound = ids[0] >= 0
+    for v in ids[1:]:
+        bound &= v >= 0
+    if bound.all():
+        return batch, ids
+    return batch.compress(bound), [v[bound] for v in ids]
 
 
 def _edge_candidates(graph, src: int, dst: int, types: Tuple[str, ...], direction: str) -> List[Tuple[int, bool]]:
@@ -105,7 +108,7 @@ class ConditionalTraverse(PlanOp):
         )
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        for batch in _rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
+        for batch in rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
             out = self._expand(ctx, batch)
             if out is not None and out.length:
                 yield out
@@ -120,7 +123,7 @@ class ConditionalTraverse(PlanOp):
 
         def expand_part(t):
             def batches() -> Iterator[RecordBatch]:
-                for batch in _rechunk(t(), ctx.batch_size):
+                for batch in rechunk(t(), ctx.batch_size):
                     out = self._expand(ctx, batch)
                     if out is not None and out.length:
                         yield out
@@ -131,7 +134,9 @@ class ConditionalTraverse(PlanOp):
 
     def _expand(self, ctx: ExecContext, batch: RecordBatch) -> Optional[RecordBatch]:
         graph = ctx.graph
-        src_ids = _src_ids(batch, self._src_slot)
+        batch, (src_ids,) = _bound_rows(batch, self._src_slot)
+        if not batch.length:
+            return None
         if batch.length == 1:
             # point-read fast path: one source row, no frontier matrix
             dst_ids = np.asarray(
@@ -215,7 +220,7 @@ class ExpandInto(PlanOp):
         return f"ExpandInto | ({self._src_var})->({self._dst_var}) expr=[{self._expr.describe()}]"
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        for batch in _rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
+        for batch in rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
             out = self._probe(ctx, batch)
             if out is not None and out.length:
                 yield out
@@ -229,7 +234,7 @@ class ExpandInto(PlanOp):
 
         def probe_part(t):
             def batches() -> Iterator[RecordBatch]:
-                for batch in _rechunk(t(), ctx.batch_size):
+                for batch in rechunk(t(), ctx.batch_size):
                     out = self._probe(ctx, batch)
                     if out is not None and out.length:
                         yield out
@@ -240,8 +245,9 @@ class ExpandInto(PlanOp):
 
     def _probe(self, ctx: ExecContext, batch: RecordBatch) -> Optional[RecordBatch]:
         graph = ctx.graph
-        src_ids = _src_ids(batch, self._src_slot)
-        dst_ids = _src_ids(batch, self._dst_slot)
+        batch, (src_ids, dst_ids) = _bound_rows(batch, self._src_slot, self._dst_slot)
+        if not batch.length:
+            return None
         if batch.length == 1:
             reach = self._expr.evaluate_single(ctx, int(src_ids[0]))
             hit = np.asarray([bool(np.any(reach == dst_ids[0]))])
@@ -313,30 +319,38 @@ class CondVarLenTraverse(PlanOp):
             f"({self._dst_var}) expr=[{self._expr.describe()}]"
         )
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         graph = ctx.graph
         A = self._expr.single_matrix(ctx)
-        width = len(self.out_layout)
-        for record in self.children[0].produce(ctx):
-            src = record[self._src_slot].id
-            reachable = self._reachable(A, src, graph.capacity)
+        slots = (self._src_slot, self._dst_slot) if self._dst_bound else (self._src_slot,)
+        for batch in rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
+            batch, ids = _bound_rows(batch, *slots)
+            if not batch.length:
+                continue
+            reached = [self._reachable(A, src, graph.capacity) for src in ids[0].tolist()]
             if self._dst_bound:
-                dst = record[self._dst_slot].id
-                if dst in reachable:
-                    yield list(record)
+                hit = np.fromiter(
+                    (bool(np.any(r == dst)) for r, dst in zip(reached, ids[1].tolist())),
+                    dtype=np.bool_,
+                    count=batch.length,
+                )
+                out = batch.compress(hit)
             else:
-                for dst in reachable:
-                    out = record + [None] * (width - len(record))
-                    out[self._dst_slot] = Node(graph, int(dst))
-                    yield out
+                src_rows = np.repeat(
+                    np.arange(batch.length, dtype=_I64), [len(r) for r in reached]
+                )
+                out = batch.take(src_rows).extend(
+                    self.out_layout, [EntityColumn("node", np.concatenate(reached), graph)]
+                )
+            if out.length:
+                yield out
 
-    def _reachable(self, A, src: int, dim: int) -> set:
-        """Nodes whose first-reach hop count lies within [min, max]."""
+    def _reachable(self, A, src: int, dim: int) -> np.ndarray:
+        """Ids of the nodes whose first-reach hop count lies within
+        [min, max], ascending."""
         visited = Vector.from_coo([src], None, size=dim)
         frontier = visited.dup()
-        out: set = set()
-        if self._min == 0:
-            out.add(src)
+        out = [np.asarray([src], dtype=_I64)] if self._min == 0 else []
         for hop in range(1, self._max + 1):
             frontier = frontier.vxm(
                 A,
@@ -347,9 +361,11 @@ class CondVarLenTraverse(PlanOp):
             if frontier.nvals == 0:
                 break
             if hop >= self._min:
-                out.update(frontier.indices.tolist())
+                out.append(frontier.indices)
             visited = visited.ewise_add(frontier, _lor())
-        return out
+        # frontiers are pairwise disjoint (each is masked by the visited
+        # set), so concatenation holds no duplicates
+        return np.sort(np.concatenate(out)) if out else np.empty(0, dtype=_I64)
 
 
 def _lor():

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CypherTypeError, EntityNotFound
+from repro.execplan.batch import RecordBatch
 from repro.execplan.expressions import CompiledExpr, ExecContext
-from repro.execplan.ops_base import Argument, PlanOp
+from repro.execplan.ops_base import Argument, PlanOp, rechunk
 from repro.execplan.record import Layout, Record
 from repro.graph.entities import Edge, Node
 
@@ -109,6 +110,17 @@ class _PatternWriter:
                     out[out_layout.slot(spec.var)] = edge
 
 
+def _write_through(child: PlanOp, ctx: ExecContext, write) -> Iterator[RecordBatch]:
+    """Apply ``write(record)`` to every record of ``child``'s stream and
+    hand each batch on.  The columns go downstream without their property
+    memos (``EntityColumn._props``): a gather made before the write — the
+    WHERE that selected the rows — must not answer a read after it."""
+    for batch in rechunk(child.produce_batches(ctx), ctx.batch_size):
+        for record in batch.iter_rows():
+            write(record)
+        yield batch.forget_properties()
+
+
 class Create(PlanOp):
     name = "Create"
 
@@ -117,13 +129,17 @@ class Create(PlanOp):
         out_layout = child.out_layout.extend(*self._writer.new_names())
         super().__init__([child], out_layout)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         in_layout = self.children[0].out_layout
-        width = len(self.out_layout)
-        for record in self.children[0].produce(ctx):
-            out = record + [None] * (width - len(record))
-            self._writer.write(record, in_layout, out, self.out_layout, ctx)
-            yield out
+        layout = self.out_layout
+        grow = [None] * (len(layout) - len(in_layout))
+        for batch in rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
+            rows = []
+            for record in batch.iter_rows():
+                out = record + grow
+                self._writer.write(record, in_layout, out, layout, ctx)
+                rows.append(out)
+            yield RecordBatch.from_rows(layout, rows)
 
 
 class Merge(PlanOp):
@@ -160,23 +176,36 @@ class Merge(PlanOp):
             extra.append("ON CREATE SET")
         return f"Merge | {', '.join(extra)}" if extra else "Merge"
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         in_layout = self.children[0].out_layout
-        width = len(self.out_layout)
-        for record in self.children[0].produce(ctx):
-            self._argument.seed(ctx, record + [None] * (len(self._argument.out_layout) - len(record)))
-            matched = False
-            for out in self.children[1].produce(ctx):
-                matched = True
-                if self._on_match:
-                    _apply_set_items(self._on_match, out, self.out_layout, ctx)
-                yield out
-            if not matched:
-                out = record + [None] * (width - len(record))
-                self._writer.write(record, in_layout, out, self.out_layout, ctx)
-                if self._on_create:
-                    _apply_set_items(self._on_create, out, self.out_layout, ctx)
-                yield out
+        layout = self.out_layout
+        size = ctx.batch_size
+        grow = [None] * (len(layout) - len(in_layout))
+        # Output batches are rebuilt from the walked rows: the match arm
+        # must see what earlier records of the same input batch created,
+        # and no column may carry a property memo older than an ON ... SET.
+        rows: List[Record] = []
+        for batch in self.children[0].produce_batches(ctx):
+            for record in batch.iter_rows():
+                self._argument.seed(ctx, RecordBatch.from_rows(in_layout, [record]))
+                matched = False
+                for found in self.children[1].produce_batches(ctx):
+                    for out in found.iter_rows():
+                        matched = True
+                        if self._on_match:
+                            _apply_set_items(self._on_match, out, layout, ctx)
+                        rows.append(out)
+                if not matched:
+                    out = record + grow
+                    self._writer.write(record, in_layout, out, layout, ctx)
+                    if self._on_create:
+                        _apply_set_items(self._on_create, out, layout, ctx)
+                    rows.append(out)
+                if len(rows) >= size:
+                    yield from RecordBatch.from_rows(layout, rows).chunks(size)
+                    rows = []
+        if rows:
+            yield from RecordBatch.from_rows(layout, rows).chunks(size)
 
 
 class Delete(PlanOp):
@@ -190,30 +219,31 @@ class Delete(PlanOp):
     def describe(self) -> str:
         return "Delete | DETACH" if self._detach else "Delete"
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        return _write_through(self.children[0], ctx, lambda record: self._delete(record, ctx))
+
+    def _delete(self, record: Record, ctx: ExecContext) -> None:
         graph = ctx.graph
         stats = ctx.stats
-        for record in self.children[0].produce(ctx):
-            for fn in self._exprs:
-                value = fn(record, ctx)
-                if value is None:
-                    continue
-                if isinstance(value, Node):
-                    if graph.has_node(value.id):
-                        removed_edges = graph.delete_node(value.id, detach=self._detach)
-                        if stats:
-                            stats.nodes_deleted += 1
-                            stats.relationships_deleted += removed_edges
-                elif isinstance(value, Edge):
-                    if graph.has_edge(value.id):
-                        graph.delete_edge(value.id)
-                        if stats:
-                            stats.relationships_deleted += 1
-                else:
-                    raise CypherTypeError(
-                        f"DELETE expects nodes or relationships, got {type(value).__name__}"
-                    )
-            yield record
+        for fn in self._exprs:
+            value = fn(record, ctx)
+            if value is None:
+                continue
+            if isinstance(value, Node):
+                if graph.has_node(value.id):
+                    removed_edges = graph.delete_node(value.id, detach=self._detach)
+                    if stats:
+                        stats.nodes_deleted += 1
+                        stats.relationships_deleted += removed_edges
+            elif isinstance(value, Edge):
+                if graph.has_edge(value.id):
+                    graph.delete_edge(value.id)
+                    if stats:
+                        stats.relationships_deleted += 1
+            else:
+                raise CypherTypeError(
+                    f"DELETE expects nodes or relationships, got {type(value).__name__}"
+                )
 
 
 def _apply_set_items(
@@ -268,10 +298,12 @@ class SetOp(PlanOp):
         super().__init__([child], child.out_layout)
         self._items = list(items)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
-        for record in self.children[0].produce(ctx):
-            _apply_set_items(self._items, record, self.out_layout, ctx)
-            yield record
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        return _write_through(
+            self.children[0],
+            ctx,
+            lambda record: _apply_set_items(self._items, record, self.out_layout, ctx),
+        )
 
 
 class RemoveOp(PlanOp):
@@ -281,24 +313,25 @@ class RemoveOp(PlanOp):
         super().__init__([child], child.out_layout)
         self._items = list(items)
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
+        return _write_through(self.children[0], ctx, lambda record: self._remove(record, ctx))
+
+    def _remove(self, record: Record, ctx: ExecContext) -> None:
         graph = ctx.graph
         stats = ctx.stats
         layout = self.out_layout
-        for record in self.children[0].produce(ctx):
-            for target, key, labels in self._items:
-                entity = record[layout.slot(target)]
-                if entity is None:
-                    continue
-                if key is not None:
-                    _set_prop(graph, entity, key, None)
-                    if stats:
-                        stats.properties_set += 1
-                for label in labels:
-                    if not isinstance(entity, Node):
-                        raise CypherTypeError("REMOVE label expects a node")
-                    graph.remove_label(entity.id, label)
-            yield record
+        for target, key, labels in self._items:
+            entity = record[layout.slot(target)]
+            if entity is None:
+                continue
+            if key is not None:
+                _set_prop(graph, entity, key, None)
+                if stats:
+                    stats.properties_set += 1
+            for label in labels:
+                if not isinstance(entity, Node):
+                    raise CypherTypeError("REMOVE label expects a node")
+                graph.remove_label(entity.id, label)
 
 
 class CreateIndexOp(PlanOp):
@@ -317,7 +350,7 @@ class CreateIndexOp(PlanOp):
         tag = "" if self._kind == "range" else f" [{self._kind}]"
         return f"CreateIndex | :{self._label}({attrs}){tag}"
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         if self._kind == "vector":
             ctx.graph.create_vector_index(self._label, self._attribute, self._options)
         elif self._kind == "composite":
@@ -344,7 +377,7 @@ class DropIndexOp(PlanOp):
         tag = "" if self._kind == "range" else f" [{self._kind}]"
         return f"DropIndex | :{self._label}({attrs}){tag}"
 
-    def _produce(self, ctx: ExecContext) -> Iterator[Record]:
+    def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         if self._kind == "vector":
             dropped = ctx.graph.drop_vector_index(self._label, self._attribute)
         elif self._kind == "composite":

@@ -1082,7 +1082,7 @@ class _PathChain:
 class _LabelCheckPredicate:
     """Residual label filter with a vectorized twin: per batch, one bulk
     ``nodes_have_labels`` gather instead of per-row ``has_label`` probes.
-    Scalar form kept for the row bridges and error fallback."""
+    Scalar form kept for ``exec_batch_size=1`` and error fallback."""
 
     __slots__ = ("_slot", "_wanted")
 

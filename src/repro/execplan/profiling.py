@@ -27,6 +27,21 @@ class _OpCounters:
         self.morsels = 0
 
 
+def _metered(gen: Iterator, counters: _OpCounters) -> Iterator:
+    """The one metering loop: time spent inside ``gen`` (not in its
+    consumer) and the batches/rows it yields accumulate into
+    ``counters``.  Rows count by batch length, so per-op row counts are
+    identical at every ``exec_batch_size``."""
+    start = time.perf_counter()
+    for batch in gen:
+        counters.rows += len(batch)
+        counters.batches += 1
+        counters.ms += (time.perf_counter() - start) * 1e3
+        yield batch
+        start = time.perf_counter()
+    counters.ms += (time.perf_counter() - start) * 1e3
+
+
 class ProfileRun:
     """Row/time counters for every operation of one plan execution."""
 
@@ -43,41 +58,11 @@ class ProfileRun:
             self._counters[id(op)] = counters
         return counters
 
-    def wrap(self, op, gen: Iterator) -> Iterator:
-        """Meter a produce() generator.  Apply-style operators re-invoke
-        subtrees once per outer record; counters accumulate across those
-        re-invocations, like RedisGraph's per-op totals."""
-        counters = self._counters_for(op)
-
-        def metered():
-            start = time.perf_counter()
-            for record in gen:
-                counters.rows += 1
-                counters.batches += 1  # row pulls: one record per "batch"
-                counters.ms += (time.perf_counter() - start) * 1e3
-                yield record
-                start = time.perf_counter()
-            counters.ms += (time.perf_counter() - start) * 1e3
-
-        return metered()
-
     def wrap_batches(self, op, gen: Iterator) -> Iterator:
-        """Meter a produce_batches() generator: rows accumulate by batch
-        length, so per-op row counts are identical to what the
-        row-at-a-time engine (``exec_batch_size=1``) reports."""
-        counters = self._counters_for(op)
-
-        def metered():
-            start = time.perf_counter()
-            for batch in gen:
-                counters.rows += len(batch)
-                counters.batches += 1
-                counters.ms += (time.perf_counter() - start) * 1e3
-                yield batch
-                start = time.perf_counter()
-            counters.ms += (time.perf_counter() - start) * 1e3
-
-        return metered()
+        """Meter a produce_batches() generator.  Apply-style operators
+        re-invoke subtrees once per outer record; counters accumulate
+        across those re-invocations, like RedisGraph's per-op totals."""
+        return _metered(gen, self._counters_for(op))
 
     def wrap_partition(self, op, gen: Iterator) -> Iterator:
         """Meter one morsel of ``op``'s partitioned stream.  Runs on a
@@ -86,26 +71,15 @@ class ProfileRun:
         summed across morsels, per-op row counts equal the serial run's."""
         local = _OpCounters()
         local.morsels = 1
-
-        def metered():
-            start = time.perf_counter()
-            try:
-                for batch in gen:
-                    local.rows += len(batch)
-                    local.batches += 1
-                    local.ms += (time.perf_counter() - start) * 1e3
-                    yield batch
-                    start = time.perf_counter()
-                local.ms += (time.perf_counter() - start) * 1e3
-            finally:
-                with self._lock:
-                    counters = self._counters_for(op)
-                    counters.rows += local.rows
-                    counters.batches += local.batches
-                    counters.ms += local.ms
-                    counters.morsels += local.morsels
-
-        return metered()
+        try:
+            yield from _metered(gen, local)
+        finally:
+            with self._lock:
+                counters = self._counters_for(op)
+                counters.rows += local.rows
+                counters.batches += local.batches
+                counters.ms += local.ms
+                counters.morsels += local.morsels
 
     def suffix(self, op) -> str:
         """The EXPLAIN-line decoration for one operation."""

@@ -22,7 +22,6 @@ from repro.graph.datablock import DataBlock
 from repro.graph.delta_matrix import DeltaMatrix, DeltaMatrixView
 from repro.graph.entities import Edge, Node
 from repro.graph.graph import Graph
-from repro.graph.index import ExactMatchIndex
 from repro.graph.rwlock import RWLock
 from repro.graph.schema import Schema
 
@@ -37,7 +36,6 @@ __all__ = [
     "Edge",
     "Node",
     "Graph",
-    "ExactMatchIndex",
     "RWLock",
     "Schema",
 ]

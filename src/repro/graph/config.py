@@ -1,8 +1,7 @@
 """Graph/module configuration, mirroring RedisGraph's load-time options.
 
 Every knob is described once, declaratively, in :data:`CONFIG_SPECS` —
-name, type, default, environment override, runtime mutability, legacy
-aliases, bounds.  :class:`GraphConfig` (still a dataclass, so snapshots
+name, type, default, environment override, runtime mutability, bounds.  :class:`GraphConfig` (still a dataclass, so snapshots
 keep round-tripping through ``dataclasses.asdict``) draws its defaults
 and validation from the table, and ``GRAPH.CONFIG GET/SET`` in
 ``rediskv/graph_module.py`` is generated from it rather than hand-coding
@@ -25,9 +24,7 @@ class ConfigSpec:
     """Declarative description of one configuration knob.
 
     ``name`` is the python attribute on :class:`GraphConfig`; the
-    ``GRAPH.CONFIG`` name is its upper-case form.  ``aliases`` are extra
-    ``GRAPH.CONFIG`` names resolving to the same knob (the legacy
-    ``TRAVERSE_BATCH_SIZE`` rides here).  ``mutable`` marks knobs
+    ``GRAPH.CONFIG`` name is its upper-case form.  ``mutable`` marks knobs
     settable at runtime via ``GRAPH.CONFIG SET``; the rest are load-time
     only.  ``env`` names an environment variable consulted for the
     default at construction time (invalid values fall back silently,
@@ -40,7 +37,6 @@ class ConfigSpec:
     default_factory: Optional[Callable[[], Any]] = None
     env: Optional[str] = None
     mutable: bool = False
-    aliases: Tuple[str, ...] = ()
     min: Optional[int] = None
     choices: Optional[Tuple[str, ...]] = None
     note: str = ""
@@ -111,7 +107,6 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
         default=1024,
         env="REPRO_EXEC_BATCH_SIZE",
         mutable=True,
-        aliases=("TRAVERSE_BATCH_SIZE",),
         min=1,
         doc=(
             "Records per RecordBatch in the vectorized pipeline; 1 reproduces "
@@ -225,16 +220,11 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
 
 _SPEC: Dict[str, ConfigSpec] = {s.name: s for s in CONFIG_SPECS}
 
-# GRAPH.CONFIG name (canonical upper-case or alias) -> spec
-_BY_REDIS_NAME: Dict[str, ConfigSpec] = {}
-for _s in CONFIG_SPECS:
-    _BY_REDIS_NAME[_s.redis_name] = _s
-    for _a in _s.aliases:
-        _BY_REDIS_NAME[_a] = _s
+_BY_REDIS_NAME: Dict[str, ConfigSpec] = {s.redis_name: s for s in CONFIG_SPECS}
 
 
 def config_spec(redis_name: str) -> Optional[ConfigSpec]:
-    """Resolve a ``GRAPH.CONFIG`` name (case-insensitive, aliases included)."""
+    """Resolve a ``GRAPH.CONFIG`` name (case-insensitive)."""
     return _BY_REDIS_NAME.get(redis_name.upper())
 
 
@@ -247,18 +237,13 @@ class GraphConfig:
     """Tunables of the graph engine.
 
     Field semantics, defaults, env overrides and runtime mutability all
-    live in :data:`CONFIG_SPECS`; see each spec's ``doc``.  The one
-    field outside the table is ``traverse_batch_size``, the deprecated
-    alias of ``exec_batch_size``: when passed explicitly (or read back
-    from an old snapshot) it wins, and after :meth:`validate` it always
-    mirrors ``exec_batch_size``.
+    live in :data:`CONFIG_SPECS`; see each spec's ``doc``.
     """
 
     thread_count: int = field(default_factory=_spec_default("thread_count"))
     node_capacity: int = field(default_factory=_spec_default("node_capacity"))
     delta_max_pending: int = field(default_factory=_spec_default("delta_max_pending"))
     exec_batch_size: int = field(default_factory=_spec_default("exec_batch_size"))
-    traverse_batch_size: Optional[int] = None
     plan_cache_size: int = field(default_factory=_spec_default("plan_cache_size"))
     parallel_workers: int = field(default_factory=_spec_default("parallel_workers"))
     morsel_size: int = field(default_factory=_spec_default("morsel_size"))
@@ -274,17 +259,6 @@ class GraphConfig:
     vector_train_min: int = field(default_factory=_spec_default("vector_train_min"))
     io_threads: int = field(default_factory=_spec_default("io_threads"))
 
-    def __setattr__(self, name, value) -> None:
-        # the knob and its deprecated alias stay mirrored in BOTH
-        # directions, so a later direct write to either is never reverted
-        # by a re-validate (validate() only resolves the construction-time
-        # None default)
-        object.__setattr__(self, name, value)
-        if name == "exec_batch_size":
-            object.__setattr__(self, "traverse_batch_size", value)
-        elif name == "traverse_batch_size" and value is not None:
-            object.__setattr__(self, "exec_batch_size", value)
-
     wal_fsync: str = field(default_factory=_spec_default("wal_fsync"))
     wal_rotate_bytes: int = field(default_factory=_spec_default("wal_rotate_bytes"))
     auto_snapshot_ops: int = field(default_factory=_spec_default("auto_snapshot_ops"))
@@ -292,14 +266,9 @@ class GraphConfig:
     def validate(self) -> "GraphConfig":
         for spec in CONFIG_SPECS:
             spec.check(getattr(self, spec.name))
-        # resolve the alias's None default; from here __setattr__ keeps
-        # the two names mirrored
-        self.traverse_batch_size = self.exec_batch_size
         return self
 
 
-# Every registry entry must be a real dataclass field (and vice versa,
-# modulo the alias) — catches drift between the table and the class.
-assert {s.name for s in CONFIG_SPECS} == {
-    f.name for f in fields(GraphConfig)
-} - {"traverse_batch_size"}
+# Every registry entry must be a real dataclass field (and vice versa) —
+# catches drift between the table and the class.
+assert {s.name for s in CONFIG_SPECS} == {f.name for f in fields(GraphConfig)}

@@ -58,7 +58,6 @@ __all__ = [
     "RangeIndex",
     "CompositeIndex",
     "VectorIndex",
-    "ExactMatchIndex",
     "DEFAULT_MERGE_THRESHOLD",
 ]
 
@@ -554,10 +553,6 @@ class RangeIndex:
 
     def __repr__(self) -> str:
         return f"<RangeIndex label={self.label_id} attr={self.attr_id} entries={self._size}>"
-
-
-# Historical name: the dict-based exact-match index this module replaced.
-ExactMatchIndex = RangeIndex
 
 
 class _Top:

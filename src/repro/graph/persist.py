@@ -14,8 +14,8 @@ arrays.  Invariants:
   :class:`~repro.graph.config.GraphConfig`, the label / relationship-type
   / attribute interning tables (id = position), index definitions as
   ``[label_id, attr_id]`` pairs, and the DataBlock slot counts.  Entity
-  payloads are **never** embedded here — v1 kept per-entity records in
-  this JSON and paid a Python loop per entity on both sides.
+  payloads are **never** embedded here (a Python loop per entity on both
+  sides is what the columnar layout exists to avoid).
 * DataBlock identity — ``node_free`` / ``edge_free`` store each block's
   free list *in order*, so restored graphs recycle deleted ids exactly
   like the original.  Slot numbers are preserved; they double as matrix
@@ -52,10 +52,10 @@ point-in-time :class:`GraphSnapshot` under the graph's **read lock only**
 delta-overlay views, which PR 1 guarantees never tear), and
 :meth:`GraphSnapshot.write` does the heavy encoding and I/O with no lock
 held at all.  Capturing never mutates the graph — in particular it never
-flushes pending matrix deltas (the v1 writer did, via ``synced()``).
+flushes pending matrix deltas.
 
-A read-only v1 loader is kept for migration; :func:`save_graph_v1`
-remains only so migration tests and benchmarks can produce v1 files.
+:func:`load_graph` rejects any other format version with a typed
+:class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from repro.graph.graph import Graph, _EdgeRecord, _NodeRecord
 from repro.grblas import Matrix
 from repro.grblas.types import BOOL
 
-__all__ = ["save_graph", "load_graph", "capture_snapshot", "GraphSnapshot", "save_graph_v1"]
+__all__ = ["save_graph", "load_graph", "capture_snapshot", "GraphSnapshot"]
 
 FORMAT_VERSION = 2
 
@@ -240,13 +240,12 @@ def save_graph(graph: Graph, target: Union[str, Path, BinaryIO], *, lock: bool =
 
 
 # ---------------------------------------------------------------------------
-# Loading (v2, with v1 dispatch)
+# Loading
 # ---------------------------------------------------------------------------
 
 
 def load_graph(source: Union[str, Path, BinaryIO]) -> Graph:
-    """Reconstruct a graph saved by :func:`save_graph` (v2) or by the
-    legacy v1 writer (read-only migration path)."""
+    """Reconstruct a graph saved by :func:`save_graph`."""
     with np.load(source, allow_pickle=False) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         version = meta.get("version")
@@ -261,8 +260,6 @@ def load_graph(source: Union[str, Path, BinaryIO]) -> Graph:
             finally:
                 if gc_was_enabled:
                     gc.enable()
-        if version == 1:
-            return _load_v1(data, meta)
     raise GraphError(f"unsupported graph file version: {version!r}")
 
 
@@ -548,148 +545,6 @@ def _decode_props(data, prefix: str) -> Tuple[List[int], List[int], List[Any]]:
         if sel.any():
             values[sel] = pool[idxs[sel]]
     return data[f"{prefix}_owner"].tolist(), data[f"{prefix}_aid"].tolist(), values.tolist()
-
-
-# ---------------------------------------------------------------------------
-# Legacy v1 (read-only loader + writer kept for migration tests/benchmarks)
-# ---------------------------------------------------------------------------
-
-
-def save_graph_v1(graph: Graph, target: Union[str, Path, BinaryIO]) -> None:
-    """The legacy per-entity JSON-in-npz writer (format v1).
-
-    Kept so migration tests and the persistence benchmark can produce v1
-    files; unlike the original it reads matrices through overlay views
-    instead of flushing them.  New code must use :func:`save_graph`."""
-    nodes = []
-    for node_id, record in graph._nodes.items():
-        nodes.append([node_id, list(record.labels), _jsonable_props(graph, record.props)])
-    edges = []
-    for edge_id, record in graph._edges.items():
-        edges.append(
-            [edge_id, record.src, record.dst, record.rel_id, _jsonable_props(graph, record.props)]
-        )
-    meta = {
-        "version": 1,
-        "name": graph.name,
-        "capacity": graph.capacity,
-        "config": {
-            "thread_count": graph.config.thread_count,
-            "node_capacity": graph.config.node_capacity,
-            "delta_max_pending": graph.config.delta_max_pending,
-            "exec_batch_size": graph.config.exec_batch_size,
-            "traverse_batch_size": graph.config.traverse_batch_size,
-        },
-        "labels": graph.schema.labels(),
-        "reltypes": graph.schema.reltypes(),
-        "attributes": [graph.attrs.name_of(i) for i in range(len(graph.attrs))],
-        "indices": [[lid, aid] for (lid, aid) in graph._indices],
-        "composite_indices": [
-            [lid, list(aids)] for (lid, aids) in graph._composite_indices
-        ],
-        "vector_indices": [
-            [lid, aid, index.options]
-            for (lid, aid), index in graph._vector_indices.items()
-        ],
-        "nodes": nodes,
-        "edges": edges,
-        "node_slots": graph._nodes.capacity,
-        "edge_slots": graph._edges.capacity,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    # bulk-loaded matrix entries that have no edge records still need to
-    # survive: store each relation matrix's COO
-    for rid in range(graph.schema.reltype_count):
-        rows, cols, _ = graph._rel_matrix_for(rid).overlay().to_coo()
-        arrays[f"rel{rid}"] = np.stack([rows, cols]) if len(rows) else np.empty((2, 0), dtype=_I64)
-    np.savez_compressed(target, **arrays)
-
-
-def _load_v1(data, meta: Dict[str, Any]) -> Graph:
-    rel_coos = {
-        int(key[3:]): data[key]
-        for key in data.files
-        if key.startswith("rel") and key[3:].isdigit()
-    }
-
-    config = GraphConfig(**meta["config"]).validate()
-    graph = Graph(meta["name"], config)
-
-    for label in meta["labels"]:
-        graph.schema.intern_label(label)
-    for reltype in meta["reltypes"]:
-        graph.schema.intern_reltype(reltype)
-    for attr in meta["attributes"]:
-        graph.attrs.intern(attr)
-
-    # rebuild the node DataBlock with identical slot assignment
-    slots = meta["node_slots"]
-    by_slot = {int(n[0]): n for n in meta["nodes"]}
-    graph._ensure_capacity(max(slots, meta["capacity"]))
-    for slot in range(slots):
-        entry = by_slot.get(slot)
-        if entry is None:
-            graph._nodes.alloc(None)  # tombstone-to-be
-            continue
-        _, labels, props = entry
-        record = _NodeRecord(tuple(labels), {graph.attrs.intern(k): v for k, v in props.items()})
-        graph._nodes.alloc(record)
-    for slot in range(slots):
-        if slot not in by_slot:
-            graph._nodes.free(slot)
-    for slot, entry in by_slot.items():
-        for lid in entry[1]:
-            graph._label_matrix_for(lid).add(slot, slot)
-
-    # edge records (DataBlock slots preserved the same way)
-    edge_slots = meta["edge_slots"]
-    edge_by_slot = {int(e[0]): e for e in meta["edges"]}
-    for slot in range(edge_slots):
-        entry = edge_by_slot.get(slot)
-        if entry is None:
-            graph._edges.alloc(None)
-            continue
-        _, src, dst, rel_id, props = entry
-        record = _EdgeRecord(src, dst, rel_id, {graph.attrs.intern(k): v for k, v in props.items()})
-        graph._edges.alloc(record)
-        graph._edge_map.setdefault((src, dst, rel_id), []).append(slot)
-        graph._node_out.setdefault(src, set()).add(slot)
-        graph._node_in.setdefault(dst, set()).add(slot)
-    for slot in range(edge_slots):
-        if slot not in edge_by_slot:
-            graph._edges.free(slot)
-
-    # adjacency structure (covers bulk-loaded edges without records)
-    for rid, coo in sorted(rel_coos.items()):
-        if coo.shape[1]:
-            graph.bulk_load_edges(coo[0], coo[1], graph.schema.reltype_name(rid))
-
-    # indices last, so they populate from the restored records
-    for lid, aid in meta["indices"]:
-        label = graph.schema.label_name(lid)
-        attr = graph.attrs.name_of(aid)
-        graph.create_index(label, attr)
-    for lid, aids in meta.get("composite_indices", ()):
-        graph.create_composite_index(
-            graph.schema.label_name(lid), [graph.attrs.name_of(a) for a in aids]
-        )
-    for lid, aid, options in meta.get("vector_indices", ()):
-        opts = dict(options or {})
-        if "exact" not in opts:
-            opts["exact"] = True  # pre-IVF record: keep brute-force semantics
-        graph.create_vector_index(
-            graph.schema.label_name(lid), graph.attrs.name_of(aid), opts
-        )
-    graph.stats.rebuild()
-    return graph
-
-
-def _jsonable_props(graph: Graph, props: dict) -> dict:
-    out = {}
-    for aid, value in props.items():
-        _check_jsonable(value)
-        out[graph.attrs.name_of(aid)] = value
-    return out
 
 
 def _check_jsonable(value) -> None:

@@ -443,20 +443,16 @@ class GraphModule:
     # GRAPH.CONFIG (runtime knobs, RedisGraph style)
     #
     # Entirely generated from the declarative registry in
-    # ``repro.graph.config``: every knob in CONFIG_SPECS (plus its
-    # aliases) is readable, knobs flagged ``mutable`` are settable at
-    # runtime, and side effects beyond mutating the shared GraphConfig
-    # live in the ``_CONFIG_APPLY`` hooks below.  Adding a knob is one
+    # ``repro.graph.config``: every knob in CONFIG_SPECS is readable,
+    # knobs flagged ``mutable`` are settable at runtime, and side effects
+    # beyond mutating the shared GraphConfig live in the ``_CONFIG_APPLY``
+    # hooks below.  Adding a knob is one
     # ConfigSpec entry — no per-name branch here.
     # ------------------------------------------------------------------
     def config_get(self, name: str) -> list:
         upper = name.upper()
         if upper == "*":
-            names: List[str] = []
-            for spec in CONFIG_SPECS:
-                names.append(spec.redis_name)
-                names.extend(spec.aliases)
-            return [self.config_get(n) for n in names]
+            return [self.config_get(spec.redis_name) for spec in CONFIG_SPECS]
         spec = config_spec(upper)
         if spec is None:
             raise ResponseError(f"ERR Unknown configuration parameter {name!r}")
@@ -487,13 +483,11 @@ class GraphModule:
                     f"(expected one of {', '.join(spec.choices)})"
                 ) from None
             raise ResponseError(f"ERR {spec.redis_name} must be >= {spec.min}") from None
-        # GraphConfig.__setattr__ keeps deprecated aliases mirrored
         setattr(self.config, spec.name, parsed)
         apply = self._CONFIG_APPLY.get(spec.name)
         if apply is not None:
             apply(self, parsed)
         if self.durability is not None:
-            # one durability-log record kind per knob: aliases canonicalize
             self.durability.log_config(spec.redis_name, getattr(self.config, spec.name))
         return "OK"
 

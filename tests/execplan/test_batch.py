@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import GraphDB
-from repro.errors import CypherSemanticError, CypherTypeError
+from repro.errors import CypherSemanticError, CypherTypeError, ResponseError
 from repro.execplan.batch import (
     EntityColumn,
     RecordBatch,
@@ -366,35 +366,22 @@ class TestAggregatePathCoherence:
 
 
 # ---------------------------------------------------------------------------
-# exec_batch_size knob (traverse_batch_size migration)
+# exec_batch_size knob
 # ---------------------------------------------------------------------------
 
 
 class TestExecBatchSizeConfig:
-    def test_legacy_alias_wins_and_mirrors(self):
-        cfg = GraphConfig(traverse_batch_size=7).validate()
-        assert cfg.exec_batch_size == 7
-        assert cfg.traverse_batch_size == 7
-
-    def test_default_mirrors_exec(self):
-        cfg = GraphConfig(exec_batch_size=33).validate()
-        assert cfg.traverse_batch_size == 33
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             GraphConfig(exec_batch_size=0).validate()
 
     def test_revalidate_keeps_direct_writes(self):
         """A later direct write to exec_batch_size must survive another
-        validate() (the alias mirror tracks both directions)."""
+        validate()."""
         cfg = GraphConfig(exec_batch_size=256).validate()
         cfg.exec_batch_size = 512
         cfg.validate()
         assert cfg.exec_batch_size == 512
-        assert cfg.traverse_batch_size == 512
-        cfg.traverse_batch_size = 64
-        cfg.validate()
-        assert cfg.exec_batch_size == 64
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BATCH_SIZE", "5")
@@ -407,7 +394,6 @@ class TestExecBatchSizeConfig:
         module = GraphModule(Keyspace(), GraphConfig())
         module.config_set("EXEC_BATCH_SIZE", "128")
         assert module.config_get("EXEC_BATCH_SIZE") == ["EXEC_BATCH_SIZE", 128]
-        # legacy name stays readable and settable, mirroring the new knob
-        assert module.config_get("TRAVERSE_BATCH_SIZE") == ["TRAVERSE_BATCH_SIZE", 128]
-        module.config_set("TRAVERSE_BATCH_SIZE", "64")
-        assert module.config_get("EXEC_BATCH_SIZE") == ["EXEC_BATCH_SIZE", 64]
+        # the retired legacy name is an unknown parameter now
+        with pytest.raises(ResponseError, match="Unknown configuration parameter"):
+            module.config_get("TRAVERSE_BATCH_SIZE")

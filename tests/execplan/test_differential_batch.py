@@ -1,10 +1,13 @@
-"""The row-vs-batch semantics net (ISSUE 5).
+"""The batch-granularity semantics net (ISSUE 5, ISSUE 15).
 
-Every read query in the battery runs at ``exec_batch_size`` 1 (exactly
-row-at-a-time), 7 (a prime that misaligns every internal chunk boundary)
-and the default — results must be identical, in order.  This is the
-differential hook the vectorized engine is built around: batch size may
-change how many rows move per Python-level step, never what comes out.
+Every query in the battery runs at ``exec_batch_size`` 1 (the
+batch-of-one oracle), 7 (a prime that misaligns every internal chunk
+boundary) and the default — results must be identical, in order.  This is
+the differential hook the vectorized engine is built around: batch size
+may change how many rows move per Python-level step, never what comes
+out.  Read queries share one module graph; write queries (and the
+null-source regressions) each run on a fresh graph per batch size and
+also compare statistics and the final graph contents.
 """
 
 import pytest
@@ -114,25 +117,107 @@ def test_batch_size_invariance(db, query):
     assert results[1] == results[7] == results[1024], query
 
 
-@pytest.mark.parametrize("query", QUERIES[:12])
+def _profile_counts(report):
+    """(operator, Records produced) per PROFILE line."""
+    out = []
+    for line in report.splitlines():
+        if "Records produced: " not in line:
+            continue  # the separator between UNION parts
+        op = line.split("|")[0].strip()
+        rows = line.split("Records produced: ")[1].split(",")[0]
+        out.append((op, int(rows)))
+    return out
+
+
+# LIMIT stops pulling mid-stream, so how many records the operators below
+# it had produced by then legitimately depends on the batch size
+@pytest.mark.parametrize("query", [q for q in QUERIES if " LIMIT " not in q])
 def test_profile_rowcounts_match_row_engine(db, query):
-    """PROFILE per-op row counts are identical to the row-at-a-time
-    engine's on the same query (ISSUE 5 acceptance criterion)."""
+    """PROFILE per-op row counts are identical to the batch-of-one
+    oracle's on the same query (ISSUE 5 acceptance criterion)."""
 
     def counts(size):
         db.graph.config.exec_batch_size = size
         try:
-            report = db.profile(query).profile
+            return _profile_counts(db.profile(query).profile)
         finally:
             db.graph.config.exec_batch_size = 1024
-        out = []
-        for line in report.splitlines():
-            op = line.split("|")[0].strip()
-            rows = line.split("Records produced: ")[1].split(",")[0]
-            out.append((op, int(rows)))
-        return out
 
-    assert counts(1) == counts(1024)
+    assert counts(1) == counts(7) == counts(1024)
+
+
+# (query, expected rows or None, follow-up read, its expected rows) — each
+# case starts from a fresh six-node :P chain 0-[:K]->1-...->5.
+FRESH_GRAPH_CASES = [
+    ("UNWIND range(1,20) AS x CREATE (n:T {v:x}) RETURN n.v", [(x,) for x in range(1, 21)], None, None),
+    # the second 1 must match the node the first 1 created, whatever the
+    # batch size; n.c stays out of the MERGE's own RETURN because handles
+    # are read after the batch's later writes (a granularity effect)
+    (
+        "UNWIND [1,1,2] AS x MERGE (n:M {v:x}) "
+        "ON CREATE SET n.c = 1 ON MATCH SET n.c = n.c + 1 RETURN n.v",
+        [(1,), (1,), (2,)],
+        "MATCH (n:M) RETURN n.v, n.c ORDER BY n.v",
+        [(1, 2), (2, 1)],
+    ),
+    # a write op hands its input columns on: the filter's memoised n.n
+    # gather must not survive the SET
+    ("MATCH (n:P) WHERE n.n = 1 SET n.n = 10 RETURN n.n", [(10,)], None, None),
+    ("MATCH (n:P) REMOVE n.n RETURN n.n", [(None,)] * 6, None, None),
+    ("MATCH (a)-[r]->(b) DELETE r RETURN count(*)", [(5,)], "MATCH ()-[r]->() RETURN count(r)", [(0,)]),
+    ("MATCH (n:P) OPTIONAL MATCH (n)-[:K*1..3]->(m) RETURN n.n, m.n", None, None, None),
+    ("MATCH p = (a)-[:K*1..2]->(b) RETURN length(p)", None, None, None),
+    # a null traversal source (an enclosing OPTIONAL MATCH left a hole)
+    # matches nothing instead of crashing on None.id
+    ("OPTIONAL MATCH (a:Nope) OPTIONAL MATCH (a)-[:K]->(b) RETURN a, b", [(None, None)], None, None),
+    ("OPTIONAL MATCH (a:Nope) MATCH (a)-[:K]->(b) RETURN b", [], None, None),
+    ("OPTIONAL MATCH (a:Nope) MATCH (a)-[:K*1..2]->(b) RETURN b", [], None, None),
+]
+
+_WRITE_COUNTERS = (
+    "nodes_created",
+    "nodes_deleted",
+    "relationships_created",
+    "relationships_deleted",
+    "properties_set",
+    "labels_added",
+)
+
+
+def _contents(d):
+    nodes = [
+        (n.id, n.labels, n.properties)
+        for (n,) in d.query("MATCH (n) RETURN n ORDER BY id(n)").rows
+    ]
+    edges = [
+        (r.id, r.src, r.type, r.dst, r.properties)
+        for (r,) in d.query("MATCH ()-[r]->() RETURN r ORDER BY id(r)").rows
+    ]
+    return nodes, edges
+
+
+@pytest.mark.parametrize("query,expected,followup,followup_expected", FRESH_GRAPH_CASES)
+def test_fresh_graph_batch_size_invariance(query, expected, followup, followup_expected):
+    outcomes = []
+    for size in BATCH_SIZES:
+        d = GraphDB("fresh", GraphConfig(exec_batch_size=size))
+        d.query("UNWIND range(0, 5) AS i CREATE (:P {n: i})")
+        d.query("MATCH (a:P), (b:P) WHERE b.n = a.n + 1 CREATE (a)-[:K]->(b)")
+        result = d.profile(query)
+        rows = _normalize(result.rows)
+        if expected is not None:
+            assert rows == expected, (query, size)
+        if followup is not None:
+            assert d.query(followup).rows == followup_expected, (query, size)
+        outcomes.append(
+            (
+                rows,
+                [getattr(result.stats, c) for c in _WRITE_COUNTERS],
+                _profile_counts(result.profile),
+                _contents(d),
+            )
+        )
+    assert outcomes[0] == outcomes[1] == outcomes[2], query
 
 
 def test_params_are_batch_invariant(db):

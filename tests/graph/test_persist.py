@@ -1,6 +1,7 @@
 """Graph persistence round-trip tests (save_graph / load_graph)."""
 
 import io
+import json
 import threading
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from repro import GraphDB
 from repro.errors import GraphError
 from repro.graph.config import GraphConfig
-from repro.graph.persist import load_graph, save_graph, save_graph_v1
+from repro.graph.persist import load_graph, save_graph
 
 
 def roundtrip(db: GraphDB) -> GraphDB:
@@ -67,9 +68,9 @@ class TestRoundTrip:
         assert db2.query("MATCH (n:Person {name:'Zed'}) RETURN n.name").scalar() == "Zed"
 
     def test_config_preserved(self):
-        db = GraphDB("g", GraphConfig(node_capacity=512, traverse_batch_size=7))
+        db = GraphDB("g", GraphConfig(node_capacity=512, exec_batch_size=7))
         db2 = roundtrip(db)
-        assert db2.graph.config.traverse_batch_size == 7
+        assert db2.graph.config.exec_batch_size == 7
 
     def test_bulk_loaded_matrix_preserved(self):
         """Bulk edges have no records; the matrix COO must still survive."""
@@ -141,21 +142,9 @@ class TestV2Format:
         for q in DIFF_QUERIES:
             assert sorted(db2.query(q).rows) == sorted(db.query(q).rows), q
 
-    def test_v1_migration(self):
-        """Files written by the legacy v1 writer still load (read-only
-        migration path) and answer like the live graph."""
-        db = GraphDB("g")
-        populate(db)
-        buf = io.BytesIO()
-        save_graph_v1(db.graph, buf)
-        buf.seek(0)
-        db2 = GraphDB.load(buf)
-        for q in DIFF_QUERIES:
-            assert sorted(db2.query(q).rows) == sorted(db.query(q).rows), q
-
     def test_save_does_not_flush_pending_deltas(self):
         """Saving is a pure read: pending matrix deltas stay pending and
-        no matrix generation moves (the v1 writer flushed via synced())."""
+        no matrix generation moves."""
         db = GraphDB("g")
         db.query("CREATE (:P {v: 1})-[:R]->(:P {v: 2})")
         graph = db.graph
@@ -217,22 +206,32 @@ class TestV2Format:
         assert GraphDB.load(sink).query("MATCH (n:W) RETURN count(n)").scalar() == 0
         assert db.query("MATCH (n:W) RETURN count(n)").scalar() == 1
 
-    def test_unknown_version_rejected(self):
-        db = GraphDB("g")
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_other_versions_rejected(self, version):
+        """Only the current format loads: the retired v1 layout and any
+        future version fail with the typed error, not a KeyError."""
+        meta = np.frombuffer(json.dumps({"version": version}).encode(), dtype=np.uint8)
+        evil = io.BytesIO()
+        np.savez(evil, meta=meta)
+        evil.seek(0)
+        with pytest.raises(GraphError, match=f"unsupported graph file version: {version}"):
+            load_graph(evil)
+
+    def test_retired_config_field_ignored(self):
+        """Snapshots written before ``traverse_batch_size`` was retired
+        carry it in their config; they still load."""
+        db = GraphDB("g", GraphConfig(exec_batch_size=7))
         buf = io.BytesIO()
         db.save(buf)
         buf.seek(0)
-        import json
-
         data = dict(np.load(buf))
         meta = json.loads(bytes(data["meta"]).decode())
-        meta["version"] = 99
+        meta["config"]["traverse_batch_size"] = 7
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        evil = io.BytesIO()
-        np.savez(evil, **data)
-        evil.seek(0)
-        with pytest.raises(GraphError, match="unsupported graph file version"):
-            load_graph(evil)
+        old = io.BytesIO()
+        np.savez(old, **data)
+        old.seek(0)
+        assert load_graph(old).config.exec_batch_size == 7
 
     def test_none_valued_index_entries_not_indexed(self):
         """Cypher null matches no predicate, so None is never indexed —
