@@ -2,25 +2,18 @@
 
 Scales are deliberately modest so ``pytest benchmarks/ --benchmark-only``
 finishes in minutes; set ``REPRO_BENCH_SCALE`` (Graph500 scale, default 12)
-and ``REPRO_BENCH_TWITTER_N`` (default 8192) to grow them.  EXPERIMENTS.md
-records headline numbers from larger CLI runs (`python -m repro.bench`).
+to grow them.  The paper's k-hop timings (1-hop and 6-hop) are the
+ledger's ``khop1`` and ``khop_deep`` workloads (``benchmarks/ledger``).
 """
 
 import os
 
 import pytest
 
-from repro.bench.engines import (
-    CSRBaselineEngine,
-    MatrixEngine,
-    PointerChasingEngine,
-    RedisGraphEngine,
-)
 from repro.bench.khop import pick_seeds
-from repro.datasets import graph500_edges, twitter_edges
+from repro.datasets import graph500_edges
 
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "12"))
-TWITTER_N = int(os.environ.get("REPRO_BENCH_TWITTER_N", "8192"))
 
 
 @pytest.fixture(scope="session")
@@ -30,48 +23,6 @@ def graph500():
 
 
 @pytest.fixture(scope="session")
-def twitter():
-    src, dst, n = twitter_edges(TWITTER_N, 20, seed=7)
-    return src, dst, n
-
-
-def _loaded(engine_cls, edges):
-    engine = engine_cls()
-    engine.load(*edges)
-    return engine
-
-
-@pytest.fixture(scope="session")
-def engines_graph500(graph500):
-    return {
-        cls.name: _loaded(cls, graph500)
-        for cls in (MatrixEngine, RedisGraphEngine, CSRBaselineEngine, PointerChasingEngine)
-    }
-
-
-@pytest.fixture(scope="session")
-def engines_twitter(twitter):
-    return {
-        cls.name: _loaded(cls, twitter)
-        for cls in (MatrixEngine, RedisGraphEngine, CSRBaselineEngine, PointerChasingEngine)
-    }
-
-
-@pytest.fixture(scope="session")
 def seeds_graph500(graph500):
     src, _, n = graph500
     return pick_seeds(src, n, 10, seed=42)
-
-
-@pytest.fixture(scope="session")
-def seeds_twitter(twitter):
-    src, _, n = twitter
-    return pick_seeds(src, n, 10, seed=42)
-
-
-def run_seeds(engine, seeds, k):
-    """One benchmark iteration = the paper's sequential seed sweep."""
-    total = 0
-    for s in seeds:
-        total += engine.khop(int(s), k)
-    return total

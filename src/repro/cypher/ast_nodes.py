@@ -195,7 +195,7 @@ class RelPattern:
     types: Tuple[str, ...]
     direction: str  # 'out' (->), 'in' (<-), 'any' (undirected)
     min_hops: int = 1
-    max_hops: int = 1  # -1 = unbounded (capped by the engine)
+    max_hops: int = 1  # -1 = unbounded
     properties: Tuple[Tuple[str, Expr], ...] = ()
 
     @property

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grblas import Matrix, binary, semiring
+from repro.grblas import _kernels as K
 from repro.graph.graph import Graph
 
 __all__ = ["AlgebraicExpression", "build_traverse_expression", "frontier_matrix"]
@@ -78,7 +79,7 @@ class AlgebraicExpression:
                 frontier = M.row(int(frontier[0]))[0]
             else:
                 parts = [M.row(int(r))[0] for r in frontier]
-                frontier = np.unique(np.concatenate(parts))
+                frontier = K.sorted_unique(np.concatenate(parts))
         if frontier is None:
             frontier = np.asarray([src], dtype=np.int64)
         return frontier

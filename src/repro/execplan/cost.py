@@ -66,6 +66,8 @@ SEEK_RANGE_SELECTIVITY = 1.0 / 3.0
 SEEK_PREFIX_SELECTIVITY = 0.05
 #: assumed element count of a non-literal IN list
 SEEK_IN_DEFAULT_ITEMS = 4.0
+#: hop count an unbounded variable-length pattern (``[*]``) is priced at
+UNBOUNDED_HOPS = 8
 
 
 def _parse_rel_operand(label: str) -> Tuple[Tuple[str, ...], str]:
@@ -283,7 +285,7 @@ class CostModel:
             return est, est, src_frac
         if variable_length:
             lo = max(1, min_hops)
-            hi = max(lo, max_hops)
+            hi = max(lo, max_hops if max_hops >= 0 else UNBOUNDED_HOPS)
             total = 1.0 if min_hops == 0 else 0.0
             power = fan ** lo
             for _ in range(lo, hi + 1):

@@ -7,7 +7,8 @@ emit :class:`~repro.execplan.batch.RecordBatch` columns —
 * Filter   = predicate kernel → boolean-mask compress,
 * Project  = column-at-a-time expression evaluation,
 * Aggregate= ``np.unique``-keyed group-by fast path for
-  count/sum/avg/min/max (object-dict fallback for everything else),
+  count/sum/avg/min/max and for ``count(DISTINCT x)`` over ids, ints or
+  strings (object-dict fallback for everything else),
 * Distinct = unique over handle-free key columns,
 * Sort     = ``np.lexsort`` on typed key columns (+ top-k slice),
 * Skip/Limit = batch slicing with cross-batch carry,
@@ -45,6 +46,7 @@ from repro.execplan.expressions import CompiledExpr, ExecContext, sort_key
 from repro.execplan.ops_base import Argument, PlanOp
 from repro.execplan.record import Layout, Record
 from repro.graph.entities import Edge, Node
+from repro.grblas import _kernels as K
 
 __all__ = [
     "Filter",
@@ -77,6 +79,33 @@ def _hashable(value) -> Any:
     if isinstance(value, dict):
         return ("map", tuple(sorted((k, _hashable(v)) for k, v in value.items())))
     return value
+
+
+def _exact_keys(values: list) -> Optional[np.ndarray]:
+    """Python scalars as an array whose equality and order are the
+    values' own — what lets a group-by, sort or dedupe run on NumPy and
+    still agree with the row engine — or None when no dtype keeps them
+    exact: int64 for pure ints (None past int64), float64 for int/float
+    mixes with no int past 2**53 and no NaN, a str array for strings
+    without NUL (NumPy's NUL padding would merge ``'a'`` and ``'a\\x00'``).
+    Bools, nulls, mixed kinds and containers give None."""
+    types = set(map(type, values))
+    if types == {int}:
+        try:
+            return np.array(values, dtype=_I64)
+        except OverflowError:
+            return None
+    if types and types <= _NUMERIC_TYPES:
+        if not _float64_exact(values):
+            return None
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:
+            return None
+        return None if np.isnan(arr).any() else arr
+    if types == {str}:
+        return None if any("\x00" in s for s in values) else np.array(values)
+    return None
 
 
 def _eval_column(batch_fn, scalar_fn, batch: RecordBatch, ctx: ExecContext) -> Column:
@@ -217,7 +246,17 @@ class AggSpec:
 
 
 class _AggState:
-    __slots__ = ("count", "total", "values", "best", "seen")
+    """One aggregate's running state in one group.
+
+    A DISTINCT aggregate's seen set lives in two forms that together are
+    one set: ``seen`` holds the row loop's :func:`_hashable` keys, and
+    ``seen_keys`` maps a key domain (``"node"``, ``"edge"``, ``"int"``,
+    ``"str"``) to the sorted unique array the vectorized ``count(DISTINCT)``
+    recorded.  The row loop folds the arrays into ``seen`` before it reads
+    it; the vector path checks both — so a run whose batches take
+    different paths still dedupes across them."""
+
+    __slots__ = ("count", "total", "values", "best", "seen", "seen_keys")
 
     def __init__(self) -> None:
         self.count = 0
@@ -225,6 +264,20 @@ class _AggState:
         self.values: List[Any] = []
         self.best: Any = None
         self.seen: set = set()
+        self.seen_keys: dict = {}
+
+    def fold_seen_keys(self) -> None:
+        """Move the vector path's key arrays into the row loop's set."""
+        for domain, keys in self.seen_keys.items():
+            self.seen.update(_domain_hashables(domain, keys))
+        self.seen_keys.clear()
+
+
+def _domain_hashables(domain: str, keys: np.ndarray) -> list:
+    """A key array of one ``seen_keys`` domain as :func:`_hashable` keys."""
+    if domain in ("node", "edge"):
+        return [(domain, i) for i in keys.tolist()]
+    return keys.tolist()
 
 
 class Aggregate(PlanOp):
@@ -236,10 +289,13 @@ class Aggregate(PlanOp):
     Per batch the group keys factorize through ``np.unique`` when the key
     column is an id vector or a homogeneous numeric/string column, and
     count/sum/avg/min/max accumulate per group via ``bincount``/sorted
-    first-hit gathers; anything else (DISTINCT aggregates, collect, mixed
-    or composite keys) drops to the object-dict row loop for that batch.
-    Group *emission order* is first-appearance order in both paths, like
-    the row engine's insertion-ordered dict.
+    first-hit gathers.  ``count(DISTINCT x)`` stays handle-free too when
+    ``x`` is an id vector or an int/str column (:func:`_exact_keys`): per
+    group, ``np.unique`` of the batch's keys minus the state's seen keys.
+    Anything else (other DISTINCT aggregates, collect, mixed or composite
+    keys) drops to the object-dict row loop for that batch.  Group
+    *emission order* is first-appearance order in both paths, like the row
+    engine's insertion-ordered dict.
     """
 
     name = "Aggregate"
@@ -262,7 +318,8 @@ class Aggregate(PlanOp):
         # loop-invariant: whether every aggregate can take the vectorized
         # path (otherwise skip the per-batch key factorization entirely)
         self._fast_specs = all(
-            not spec.distinct and spec.kind in ("count", "sum", "avg", "min", "max")
+            spec.kind in ("count", "sum", "avg", "min", "max")
+            and (not spec.distinct or spec.kind == "count")
             for _, spec in self._aggs
         )
 
@@ -422,30 +479,9 @@ class Aggregate(PlanOp):
 
             appearance = np.argsort(first_idx, kind="stable").tolist()
             return codes, appearance, keys, values_fn
-        values = col.to_objects()
-        lst = values.tolist()
-        types = set(map(type, lst))
-        if types == {int}:
-            try:
-                # exact: int64 keys never collapse like float64 would for
-                # values past 2**53 (overflow past int64 -> row loop)
-                arr = np.array(lst, dtype=_I64)
-            except OverflowError:
-                return None
-        elif types <= _NUMERIC_TYPES and types:
-            if not _float64_exact(lst):
-                return None  # ints past 2**53 would collapse: row loop
-            try:
-                arr = np.array(lst, dtype=np.float64)
-            except OverflowError:
-                return None  # int beyond float64 range: row loop
-            if np.isnan(arr).any():
-                return None  # NaN identity-grouping quirks: row loop
-        elif types == {str}:
-            if any("\x00" in s for s in lst):
-                return None  # numpy U-dtype NUL padding would merge keys
-            arr = np.array(lst)
-        else:
+        lst = col.to_objects().tolist()
+        arr = _exact_keys(lst)
+        if arr is None:
             return None
         uniq, first_idx, codes = np.unique(arr, return_index=True, return_inverse=True)
         firsts = first_idx.tolist()
@@ -471,6 +507,8 @@ class Aggregate(PlanOp):
                     states_by_code[code][spec_idx].count += c
             return True
         nulls = col.null_mask()
+        if spec.distinct:  # count(DISTINCT x): the one DISTINCT kind here
+            return self._count_distinct(col, nulls, codes, states_by_code, spec_idx)
         if spec.kind == "count":
             # handle-free: counting an entity column never materializes it
             if k == 1:
@@ -514,21 +552,11 @@ class Aggregate(PlanOp):
         # min/max: stable first-hit per group so ties keep the earliest
         # value object, like the row engine.  Pure-int columns order as
         # int64 so values past 2**53 keep their exact order; anything the
-        # dtype cannot represent exactly drops to the row loop.
-        if ptypes == {int}:
-            try:
-                ordkeys = np.array(present, dtype=_I64)
-            except OverflowError:
-                return False
-        else:
-            if not _float64_exact(present):
-                return False  # ints past 2**53 would misorder ties
-            try:
-                ordkeys = np.array(present, dtype=np.float64)
-            except OverflowError:
-                return False
-            if np.isnan(ordkeys).any():
-                return False  # NaN ordering: row loop matches sort_key
+        # dtype cannot represent exactly (or NaN, whose ordering sort_key
+        # defines) drops to the row loop.
+        ordkeys = _exact_keys(present)
+        if ordkeys is None:
+            return False
         if spec.kind == "min":
             primary = ordkeys
         else:
@@ -551,6 +579,51 @@ class Aggregate(PlanOp):
                     state.best = value
             elif sort_key(value) > sort_key(state.best):
                 state.best = value
+        return True
+
+    @staticmethod
+    def _count_distinct(col: Column, nulls, codes, states_by_code, spec_idx) -> bool:
+        """Handle-free ``count(DISTINCT x)``: per group, the batch's unique
+        keys minus the state's seen set (both of its forms, see
+        :class:`_AggState`) add to the count and to ``seen_keys``.  False
+        when the values have no int64/str key array (floats included:
+        ``1.0`` must meet an int ``1``) — the row loop counts those."""
+        nz = np.flatnonzero(~nulls)
+        if not len(nz):
+            return True
+        if isinstance(col, EntityColumn):
+            domain, keys = col.kind, col.ids[nz]
+        else:
+            keys = _exact_keys(col.to_objects()[nz].tolist())
+            if keys is None or keys.dtype == np.float64:
+                return False
+            domain = "int" if keys.dtype == _I64 else "str"
+        if len(states_by_code) == 1:
+            runs = [(0, K.sorted_unique(keys))]
+        else:
+            # unique (group, key) pairs, ordered by group then key
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            pairs = K.sorted_unique(codes[nz] * len(uniq) + inverse)
+            pair_codes = pairs // len(uniq)
+            pair_keys = uniq[pairs % len(uniq)]
+            bounds = np.append(K.run_starts(pair_codes), len(pairs)).tolist()
+            runs = [
+                (int(pair_codes[lo]), pair_keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            ]
+        for code, fresh in runs:
+            state = states_by_code[code][spec_idx]
+            seen = state.seen_keys.get(domain)
+            if seen is not None:
+                fresh = fresh[~K.membership(seen, fresh)[0]]
+            if state.seen:  # keys an earlier row-loop batch recorded
+                hashed = _domain_hashables(domain, fresh)
+                fresh = fresh[np.fromiter((h not in state.seen for h in hashed), np.bool_, len(hashed))]
+            if len(fresh):
+                state.count += len(fresh)
+                # disjoint sorted runs, which a stable sort merges
+                state.seen_keys[domain] = (
+                    fresh if seen is None else np.sort(np.concatenate([seen, fresh]), kind="stable")
+                )
         return True
 
     def _accumulate_rows_one(self, spec, col, codes, states_by_code, spec_idx, n) -> None:
@@ -586,6 +659,8 @@ class Aggregate(PlanOp):
         if value is None:
             return
         if spec.distinct:
+            if state.seen_keys:
+                state.fold_seen_keys()
             key = _hashable(value)
             if key in state.seen:
                 return
@@ -662,32 +737,14 @@ class Sort(PlanOp):
             if col.null_mask().any():
                 return None
             return col.ids if ascending else self._descending(col.ids)
-        values = col.to_objects()
-        lst = values.tolist()
-        types = set(map(type, lst))
-        if types == {int}:
-            # exact: int64 keys never collapse ties like float64 would
-            # past 2**53 (beyond int64 -> sort_key row sort)
-            try:
-                arr = np.array(lst, dtype=_I64)
-            except OverflowError:
-                return None
-        elif types and types <= _NUMERIC_TYPES:
-            if not _float64_exact(lst):
-                return None  # ints past 2**53 would misorder ties
-            try:
-                arr = np.array(lst, dtype=np.float64)
-            except OverflowError:
-                return None
-            if np.isnan(arr).any():
-                return None
-        elif types == {str} and ascending:
-            if any("\x00" in s for s in lst):
-                return None  # numpy U-dtype NUL padding would tie keys
-            return np.array(lst)
-        else:
+        # exact keys only: int64 never ties ints past 2**53 the way
+        # float64 would; strings sort ascending only (no negation)
+        arr = _exact_keys(col.to_objects().tolist())
+        if arr is None:
             return None
-        return arr if ascending else self._descending(arr)
+        if ascending:
+            return arr
+        return None if arr.dtype.kind == "U" else self._descending(arr)
 
     def _sorted_batch(self, big: RecordBatch, ctx: ExecContext, limit: int) -> RecordBatch:
         """``big`` stably sorted on the keys (head only when ``limit`` is

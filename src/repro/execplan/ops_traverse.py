@@ -7,8 +7,11 @@ operations on sparse matrices").  The product's COO output stays columnar
 — ``(src_row, dst_id, edge_id)`` arrays become the next batch via one
 ``take`` gather instead of exploding into per-row Python lists.
 ``ExpandInto`` closes cycles whose both endpoints are already bound;
-``CondVarLenTraverse`` runs the masked-BFS loop for ``[*min..max]``
-patterns and emits its reached set as an id column the same way.
+``CondVarLenTraverse`` answers ``[*min..max]`` patterns from the engine's
+single masked-BFS level loop (:func:`~repro.algorithms.khop.
+khop_frontiers`; unbounded patterns run until the frontier empties) and
+emits its reached set as an id column the same way.  Both bound-endpoint
+probes test every row of a batch with one sorted-key membership search.
 """
 
 from __future__ import annotations
@@ -17,18 +20,18 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms.khop import khop_frontiers
 from repro.errors import GraphError
 from repro.execplan.algebraic import AlgebraicExpression, frontier_matrix
 from repro.execplan.batch import EntityColumn, RecordBatch, as_entity_ids
 from repro.execplan.expressions import ExecContext
 from repro.execplan.ops_base import PlanOp, rechunk
-from repro.grblas import Mask, Vector, semiring
-from repro.grblas.descriptor import Descriptor
+from repro.grblas import _kernels as K
 
 __all__ = ["ConditionalTraverse", "ExpandInto", "CondVarLenTraverse"]
 
-_REPLACE = Descriptor(replace=True)
 _I64 = np.int64
+_NONE = np.empty(0, dtype=_I64)
 
 
 def _bound_rows(batch: RecordBatch, *slots: int) -> Tuple[RecordBatch, List[np.ndarray]]:
@@ -254,11 +257,10 @@ class ExpandInto(PlanOp):
         else:
             F = frontier_matrix(src_ids, graph.capacity)
             D = self._expr.evaluate(ctx, F)
-            hit = np.fromiter(
-                (D[r, int(dst_ids[r])] is not None for r in range(batch.length)),
-                dtype=np.bool_,
-                count=batch.length,
-            )
+            # one membership probe of every (row, dst) against D's sorted
+            # linear keys
+            rows = np.arange(batch.length, dtype=_I64)
+            hit, _ = K.membership(D.to_linear()[0], K.linear_keys(rows, dst_ids, D.ncols))
         if not hit.any():
             return None
         if self._edge_slot is None:
@@ -281,11 +283,15 @@ class ExpandInto(PlanOp):
 class CondVarLenTraverse(PlanOp):
     """Variable-length traversal ``(src)-[:T*min..max]->(dst)``.
 
-    Per source node, runs the masked BFS loop (frontier ``vxm`` under a
-    complemented visited mask) over the expression's combined relation
-    matrix, emitting each node first reached at hop distance in
-    ``[min, max]``.  When ``dst`` is already bound it degrades to a
-    reachability test.
+    Per source node, takes the per-level frontiers of
+    :func:`~repro.algorithms.khop.khop_frontiers` — the engine's one BFS
+    level loop (frontier ``vxm`` under a complemented visited mask) — over
+    the expression's combined relation matrix, and emits each node first
+    reached at hop distance in ``[min, max]``.  An unbounded pattern
+    (``max`` = -1, ``[*]`` / ``[*2..]``) expands until the frontier
+    empties, which the visited mask bounds by the node count.  When
+    ``dst`` is already bound it degrades to a reachability test: one
+    membership probe per batch on linear ``(row, node)`` keys.
     """
 
     name = "CondVarLenTraverse"
@@ -300,7 +306,6 @@ class CondVarLenTraverse(PlanOp):
         max_hops: int,  # -1 = unbounded
         *,
         dst_bound: bool = False,
-        max_cap: int = 30,
     ) -> None:
         out_layout = child.out_layout if dst_bound else child.out_layout.extend(dst_var)
         super().__init__([child], out_layout)
@@ -309,13 +314,14 @@ class CondVarLenTraverse(PlanOp):
         self._dst_slot = out_layout.slot(dst_var)
         self._expr = expression
         self._min = min_hops
-        self._max = max_hops if max_hops >= 0 else max_cap
+        self._max = max_hops
         self._src_var = src_var
         self._dst_var = dst_var
 
     def describe(self) -> str:
+        upper = self._max if self._max >= 0 else ""
         return (
-            f"CondVarLenTraverse | ({self._src_var})-[*{self._min}..{self._max}]->"
+            f"CondVarLenTraverse | ({self._src_var})-[*{self._min}..{upper}]->"
             f"({self._dst_var}) expr=[{self._expr.describe()}]"
         )
 
@@ -323,52 +329,31 @@ class CondVarLenTraverse(PlanOp):
         graph = ctx.graph
         A = self._expr.single_matrix(ctx)
         slots = (self._src_slot, self._dst_slot) if self._dst_bound else (self._src_slot,)
+        max_hops = self._max if self._max >= 0 else None
+        skip = max(self._min, 1) - 1  # frontiers below the min hop count
         for batch in rechunk(self.children[0].produce_batches(ctx), ctx.batch_size):
             batch, ids = _bound_rows(batch, *slots)
             if not batch.length:
                 continue
-            reached = [self._reachable(A, src, graph.capacity) for src in ids[0].tolist()]
+            reached = []
+            for src in ids[0].tolist():
+                parts = [f.indices for f in khop_frontiers(A, src, max_hops)[skip:]]
+                if self._min == 0:
+                    parts.append(np.asarray([src], dtype=_I64))
+                # the levels are disjoint sorted runs, which a stable sort merges
+                reached.append(np.sort(np.concatenate(parts), kind="stable") if parts else _NONE)
+            rows = np.arange(batch.length, dtype=_I64)
+            src_rows = np.repeat(rows, [len(r) for r in reached])
+            dst_ids = np.concatenate(reached)
             if self._dst_bound:
-                hit = np.fromiter(
-                    (bool(np.any(r == dst)) for r, dst in zip(reached, ids[1].tolist())),
-                    dtype=np.bool_,
-                    count=batch.length,
+                # rows ascend and each row's ids ascend: the keys are sorted
+                hit, _ = K.membership(
+                    K.linear_keys(src_rows, dst_ids, A.ncols), K.linear_keys(rows, ids[1], A.ncols)
                 )
                 out = batch.compress(hit)
             else:
-                src_rows = np.repeat(
-                    np.arange(batch.length, dtype=_I64), [len(r) for r in reached]
-                )
                 out = batch.take(src_rows).extend(
-                    self.out_layout, [EntityColumn("node", np.concatenate(reached), graph)]
+                    self.out_layout, [EntityColumn("node", dst_ids, graph)]
                 )
             if out.length:
                 yield out
-
-    def _reachable(self, A, src: int, dim: int) -> np.ndarray:
-        """Ids of the nodes whose first-reach hop count lies within
-        [min, max], ascending."""
-        visited = Vector.from_coo([src], None, size=dim)
-        frontier = visited.dup()
-        out = [np.asarray([src], dtype=_I64)] if self._min == 0 else []
-        for hop in range(1, self._max + 1):
-            frontier = frontier.vxm(
-                A,
-                semiring.any_pair,
-                mask=Mask(visited, complement=True, structure=True),
-                desc=_REPLACE,
-            )
-            if frontier.nvals == 0:
-                break
-            if hop >= self._min:
-                out.append(frontier.indices)
-            visited = visited.ewise_add(frontier, _lor())
-        # frontiers are pairwise disjoint (each is masked by the visited
-        # set), so concatenation holds no duplicates
-        return np.sort(np.concatenate(out)) if out else np.empty(0, dtype=_I64)
-
-
-def _lor():
-    from repro.grblas import binary
-
-    return binary.lor

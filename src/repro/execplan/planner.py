@@ -509,7 +509,7 @@ class _Planner:
             direction = {"out": "in", "in": "out", "any": "any"}[direction]
         dst_bound = dst_var in seen
         if rel.variable_length:
-            min_hops, max_hops = rel.min_hops, rel.max_hops if rel.max_hops >= 0 else 8
+            min_hops, max_hops = rel.min_hops, rel.max_hops
         else:
             min_hops = max_hops = 1
         return self.cost.step_estimate(

@@ -15,8 +15,10 @@ Expand-Sort-Compress sparse matrix-matrix multiply:
 The expansion is tiled over row blocks so the intermediate never exceeds a
 configurable budget — the same discipline GPU SpGEMM implementations use.
 Structural semirings (``any_pair`` and friends) skip value arithmetic
-entirely and reduce to a ``np.unique`` over keys, which is the BFS/k-hop
-fast path that the paper's traversal engine lives on.
+entirely and reduce to a sorted unique over keys — or, in a masked
+``vxm`` whose expansion covers much of the output, to a dense Boolean
+scatter — which is the BFS/k-hop fast path that the paper's traversal
+engine lives on.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "rows_to_indptr",
     "run_starts",
     "setdiff_sorted",
+    "sorted_unique",
     "split_keys",
     "vxm_kernel",
 ]
@@ -56,6 +59,12 @@ _EMPTY_I64 = np.empty(0, dtype=_I64)
 # Default cap on the size of one expanded tile (number of partial products).
 # 2^23 triples of (int64 key + float64 value) is ~128 MiB transient.
 DEFAULT_TILE_BUDGET = 1 << 23
+
+# Masked structural vxm dedupes with a dense scatter once the expanded
+# column count reaches 1/8 of the columns; below it, sorting the
+# survivors is cheaper.  Measured on NumPy 2.4 (x86-64): the two break
+# even between 1/16 and 1/8 of the columns at 16k, 128k and 1M columns.
+DENSE_DEDUPE_RATIO = 8
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +98,14 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     first[0] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     return np.flatnonzero(first)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D array, by one sort and a run scan.
+    NumPy 2.4's hash-based ``np.unique`` measured 10-20x slower than this
+    on 1k-100k int64 values (x86-64)."""
+    out = np.sort(values)
+    return out[run_starts(out)]
 
 
 def rows_to_indptr(sorted_rows: np.ndarray, nrows: int) -> np.ndarray:
@@ -146,35 +163,38 @@ def setdiff_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def merge_union(
     ka: np.ndarray,
-    va: Optional[np.ndarray],
+    va: np.ndarray,
     kb: np.ndarray,
-    vb: Optional[np.ndarray],
+    vb: np.ndarray,
     op: Optional[BinaryOp],
     out_dtype: np.dtype,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Union-merge two sorted-unique keyed value sets.
+    """Union-merge two sorted-unique keyed value sets in linear time.
 
-    Where a key exists in only one input, its value is copied; where it
-    exists in both, ``op(va, vb)`` is applied (GraphBLAS eWiseAdd / accum
-    semantics).  Returns ``(keys, values)``, keys sorted unique.
+    The concatenated keys are two sorted runs, which a stable argsort
+    merges in one linear pass; a key held by both inputs then appears as
+    an adjacent pair, ``a``'s entry first.  Where a key exists in only one
+    input, its value is copied; where it exists in both, ``op(va, vb)`` is
+    applied (GraphBLAS eWiseAdd / accum semantics) — with no ``op``, ``b``
+    (the new result) wins.  Returns ``(keys, values)``, keys sorted unique.
     """
-    ka = np.asarray(ka, dtype=_I64)
-    kb = np.asarray(kb, dtype=_I64)
-    keys = np.union1d(ka, kb)
+    na = len(ka)
+    both_keys = np.concatenate([np.asarray(ka, dtype=_I64), np.asarray(kb, dtype=_I64)])
+    order = np.argsort(both_keys, kind="stable")
+    skeys = both_keys[order]
+    starts = run_starts(skeys)
+    keys = skeys[starts]
+    first = order[starts]  # a-position, or na + b-position
+    paired = np.diff(starts, append=len(skeys)) == 2
+    from_a = first < na
     out = np.empty(len(keys), dtype=out_dtype)
-    in_a, pa = membership(ka, keys)
-    in_b, pb = membership(kb, keys)
-    both = in_a & in_b
-    only_a = in_a & ~both
-    only_b = in_b & ~both
-    if va is not None:
-        out[only_a] = va[pa[only_a]]
-        out[only_b] = vb[pb[only_b]]
-        if op is None:
-            # no accumulator: B (the new result) wins on collisions
-            out[both] = vb[pb[both]]
-        else:
-            out[both] = op(va[pa[both]], vb[pb[both]]).astype(out_dtype, copy=False)
+    only_a = from_a & ~paired
+    out[only_a] = va[first[only_a]]
+    out[~from_a] = vb[first[~from_a] - na]
+    if paired.any():
+        pa = first[paired]
+        pb = order[starts[paired] + 1] - na
+        out[paired] = vb[pb] if op is None else np.asarray(op(va[pa], vb[pb])).astype(out_dtype, copy=False)
     return keys, out
 
 
@@ -386,7 +406,7 @@ def esc_spgemm(
         keys = linear_keys(out_rows, out_cols, b_ncols)
 
         if structural:
-            ukeys = np.unique(keys)
+            ukeys = sorted_unique(keys)
             urows, ucols = split_keys(ukeys, b_ncols)
             out_rows_parts.append(urows)
             out_cols_parts.append(ucols)
@@ -476,11 +496,14 @@ def vxm_kernel(
     """``w = v ⊕.⊗ B``: gather the B rows selected by ``v``'s pattern (the
     frontier-expansion step of BFS), then sort-reduce by column.
 
-    ``drop_dense`` is a dense Boolean array marking columns to discard
-    *before* the sort/unique — the complemented-mask pushdown SuiteSparse
-    applies inside its masked kernels.  Filtering the expanded multiset
-    first shrinks the sort from |touched edges| to |fresh entries|, which
-    is where masked BFS spends its time.
+    ``drop_dense`` is a dense Boolean array (one cell per output column)
+    marking columns to discard — the complemented-mask pushdown SuiteSparse
+    applies inside its masked kernels.  The fresh columns are then
+    deduplicated one of two ways, picked from the input sizes: when the
+    expanded multiset is a sizeable fraction of the columns (the middle
+    levels of a deep BFS), a dense Boolean scatter + ``flatnonzero`` is
+    linear; below that, dropping masked columns first and sorting the
+    survivors is cheaper than touching every column.
     """
     if len(v_indices) == 0 or len(b_indices) == 0:
         return _EMPTY_I64.copy(), (None if ring.is_structural else np.empty(0, dtype=out_dtype))
@@ -491,12 +514,14 @@ def vxm_kernel(
     gather = concat_ranges(b_indptr[v_indices], lens)
     cols = b_indices[gather]
     if drop_dense is not None and ring.is_structural:
-        cols = cols[~drop_dense[cols]]
-        if len(cols) == 0:
-            return _EMPTY_I64.copy(), None
-        return np.unique(cols), None
+        if total * DENSE_DEDUPE_RATIO >= len(drop_dense):
+            fresh = np.zeros(len(drop_dense), dtype=bool)
+            fresh[cols] = True
+            fresh &= ~drop_dense
+            return np.flatnonzero(fresh), None
+        return sorted_unique(cols[~drop_dense[cols]]), None
     if ring.is_structural:
-        return np.unique(cols), None
+        return sorted_unique(cols), None
     mult = ring.mult
     if mult.positional == "first":
         prods = np.repeat(v_values, lens)

@@ -28,22 +28,6 @@ def _result_dtype(op: BinaryOp, a_dtype, b_dtype):
     return promote(a_dtype, b_dtype)
 
 
-def _union(ka, va, kb, vb, op: BinaryOp, out_np):
-    """Union merge where single-side entries pass through unchanged."""
-    keys = np.union1d(ka, kb)
-    out = np.empty(len(keys), dtype=out_np)
-    in_a, pa = K.membership(ka, keys)
-    in_b, pb = K.membership(kb, keys)
-    both = in_a & in_b
-    only_a = in_a & ~both
-    only_b = in_b & ~both
-    out[only_a] = va[pa[only_a]]
-    out[only_b] = vb[pb[only_b]]
-    if both.any():
-        out[both] = np.asarray(op(va[pa[both]], vb[pb[both]])).astype(out_np, copy=False)
-    return keys, out
-
-
 def _intersection(ka, va, kb, vb, op: BinaryOp, out_np):
     ia, ib = K.intersect_sorted(ka, kb)
     keys = ka[ia]
@@ -79,7 +63,7 @@ def _ewise_matrix(A: Matrix, B: Matrix, op: BinaryOp, combine, *, mask, accum, d
 
 def ewise_add(A: Matrix, B: Matrix, op: BinaryOp, *, mask=None, accum=None, desc=None) -> Matrix:
     """``C = A ∪ B`` with ``op`` where both are present (set union)."""
-    return _ewise_matrix(A, B, op, _union, mask=mask, accum=accum, desc=desc)
+    return _ewise_matrix(A, B, op, K.merge_union, mask=mask, accum=accum, desc=desc)
 
 
 def ewise_mult(A: Matrix, B: Matrix, op: BinaryOp, *, mask=None, accum=None, desc=None) -> Matrix:
@@ -108,7 +92,7 @@ def _ewise_vector(u: Vector, v: Vector, op: BinaryOp, combine, *, mask, accum, d
 
 
 def ewise_add_vector(u: Vector, v: Vector, op: BinaryOp, *, mask=None, accum=None, desc=None) -> Vector:
-    return _ewise_vector(u, v, op, _union, mask=mask, accum=accum, desc=desc)
+    return _ewise_vector(u, v, op, K.merge_union, mask=mask, accum=accum, desc=desc)
 
 
 def ewise_mult_vector(u: Vector, v: Vector, op: BinaryOp, *, mask=None, accum=None, desc=None) -> Vector:

@@ -40,16 +40,17 @@ def _output_dtype(ring: Semiring, a_dtype, b_dtype):
     return promote(a_dtype, b_dtype)
 
 
-def _gather_operand(B, needed_rows):
+def _gather_operand(B, needed_rows, *, sorted_unique: bool = False):
     """CSR arrays of the right operand, restricted to the rows a product
     will actually gather.  Delta-overlay views expose ``rows_csr`` and merge
     only those rows (the flush-free traversal fast path); plain matrices
-    hand back their arrays unchanged."""
+    hand back their arrays unchanged.  ``sorted_unique`` says the rows are
+    already a sorted set (a Vector's indices), which skips the sort."""
     rows_csr = getattr(B, "rows_csr", None)
     if rows_csr is None:
         return B.indptr, B.indices, B.values
-    rows = np.unique(np.asarray(needed_rows, dtype=np.int64))
-    return rows_csr(rows)
+    rows = np.asarray(needed_rows, dtype=np.int64)
+    return rows_csr(rows if sorted_unique else K.sorted_unique(rows))
 
 
 def mxm(
@@ -197,7 +198,7 @@ def vxm(
                 if desc is not None:
                     desc = desc.with_(mask_complement=False, mask_structural=False)
 
-    b_indptr, b_indices, b_values = _gather_operand(B, v.indices)
+    b_indptr, b_indices, b_values = _gather_operand(B, v.indices, sorted_unique=True)
     idx, vals = K.vxm_kernel(
         v.indices,
         None if structural else v.values,

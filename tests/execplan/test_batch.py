@@ -229,6 +229,50 @@ class TestAggregatePathCoherence:
         )
         assert rows == [(1, 3), (2, 2), ("x", 1)]
 
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_count_distinct_shares_seen_set_across_column_kinds(self, size):
+        """count(DISTINCT x) over a stream alternating id-vector batches
+        (the handle-free path) with Node-handle object batches (the row
+        loop): an id seen in either kind of batch counts once."""
+        from repro.cypher import ast_nodes as A
+        from repro.execplan.expressions import ExecContext, compile_expr
+        from repro.execplan.ops_base import PlanOp
+        from repro.execplan.ops_stream import Aggregate, AggSpec
+        from repro.graph.entities import Node
+
+        d = GraphDB("distinct-kinds", GraphConfig(node_capacity=256, exec_batch_size=size))
+        d.query("UNWIND range(0, 9) AS i CREATE (:N)")
+        graph = d.graph
+        layout = Layout(["g", "x"])
+
+        def batch(groups, xs, handles):
+            g = ValueColumn(object_column(groups))
+            if handles:
+                x = ValueColumn(object_column([None if i < 0 else Node(graph, i) for i in xs]))
+            else:
+                x = EntityColumn("node", np.array(xs), graph)
+            return RecordBatch(layout, [g, x])
+
+        batches = [
+            batch([0, 0, 1, 1], [1, 2, 1, 3], handles=False),
+            batch([0, 1, 1, 0], [2, 1, 4, -1], handles=True),
+            batch([1, 0, 0, 1], [4, 5, 1, -1], handles=False),
+            batch([0, 1], [5, 6], handles=True),
+        ]
+
+        class Replay(PlanOp):
+            def _produce_batches(self, ctx):
+                yield from batches
+
+        count = AggSpec("count", compile_expr(A.Identifier("x"), layout), True)
+        for group_items, expected in [
+            ([], [[6]]),  # ids 1..6
+            ([("g", compile_expr(A.Identifier("g"), layout))], [[0, 3], [1, 4]]),
+        ]:
+            agg = Aggregate(Replay([], layout), group_items, [("c", count)])
+            out = [list(r) for b in agg.produce_batches(ExecContext(graph)) for r in b.iter_rows()]
+            assert out == expected
+
     def test_sort_large_ints_exact(self):
         """ORDER BY must not collapse or crash on ints float64 cannot
         represent (regressions: 2**53 tie-collapse, 10**400 OverflowError)."""

@@ -73,6 +73,14 @@ QUERIES = [
     "MATCH (n:Person) RETURN n.name, collect(n.age) ORDER BY n.name",
     "MATCH (n:Person) RETURN count(DISTINCT n.name), min(n.name), max(n.age)",
     "MATCH (a:Person)-[:KNOWS]->(b) RETURN a, count(b) ORDER BY count(b) DESC, a.name",
+    # count(DISTINCT): node/edge id columns, int/str/mixed values, OPTIONAL
+    # MATCH holes, grouped and ungrouped
+    "MATCH (a:Person)-[r]->(b) RETURN count(DISTINCT a), count(DISTINCT b), count(DISTINCT r)",
+    "MATCH (a:Person)-[:KNOWS]->(b) RETURN a.name, count(DISTINCT b) ORDER BY a.name",
+    "MATCH (n:Person) RETURN count(DISTINCT n.tag), count(DISTINCT n.age), count(DISTINCT n.name)",
+    "MATCH (n:Person) RETURN n.age, count(DISTINCT n.name) ORDER BY n.age",
+    "MATCH (n:Person) OPTIONAL MATCH (n)-[:KNOWS]->(m) RETURN count(DISTINCT m), count(m)",
+    "MATCH (n:Person) OPTIONAL MATCH (n)-[:KNOWS]->(m) RETURN n.name, count(DISTINCT m) ORDER BY n.name",
     # ORDER BY mixed directions + SKIP/LIMIT (cross-batch carry)
     "MATCH (n:Person) RETURN n.name, n.age ORDER BY n.age DESC, n.name ASC",
     "MATCH (n:Person) RETURN n.name ORDER BY n.name SKIP 2 LIMIT 3",
@@ -218,6 +226,79 @@ def test_fresh_graph_batch_size_invariance(query, expected, followup, followup_e
             )
         )
     assert outcomes[0] == outcomes[1] == outcomes[2], query
+
+
+# Values of n.v for 42 :D nodes, in creation (= scan) order.  At batch
+# size 7 each line is one batch: pure ints (count(DISTINCT) keys them as
+# int64, so 2**53 and 2**53 + 1 stay apart), an int/float mix (row loop;
+# 1.0 meets the int 1), strings, ints repeating earlier batches, bools
+# next to 0/1 (row loop; true == 1 there), strings again.
+_BIG = 2**53
+DISTINCT_VALUES = [
+    _BIG + 1, _BIG, 1, 2, 3, 1, _BIG + 1,
+    1.0, 2.5, 3, None, 4, 1, 2.5,
+    "a", "b", "a", "1", "c", None, "b",
+    1, _BIG + 1, 4, 5, 5, None, 3,
+    True, False, 0, 7, None, "a", 1,
+    "c", "d", "a", "x", "x", None, "1",
+]
+
+
+@pytest.fixture(scope="module")
+def distinct_db():
+    d = GraphDB("diff-distinct", GraphConfig(node_capacity=64))
+    rows = [[i, v, i % 3] for i, v in enumerate(DISTINCT_VALUES)]
+    d.query("UNWIND $rows AS r CREATE (:D {i: r[0], v: r[1], g: r[2]})", {"rows": rows})
+    # every destination is hit from several batches of sources
+    d.query("MATCH (a:D), (b:D) WHERE b.i = a.i % 5 CREATE (a)-[:E]->(b)")
+    return d
+
+
+DISTINCT_QUERIES = [
+    "MATCH (n:D) RETURN count(DISTINCT n.v), count(n.v)",
+    "MATCH (n:D) RETURN n.g, count(DISTINCT n.v) ORDER BY n.g",
+    "MATCH (a:D)-[:E]->(b) RETURN count(DISTINCT b), count(b)",
+    "MATCH (a:D)-[r:E]->(b) RETURN count(DISTINCT r), count(DISTINCT a)",
+    "MATCH (a:D)-[:E]->(b) RETURN a.g, count(DISTINCT b) ORDER BY a.g",
+    "MATCH (a:D)-[:E*1..2]->(b) RETURN count(DISTINCT b)",
+    "MATCH (a:D) OPTIONAL MATCH (a)-[:E]->(b) WHERE b.i > 2 RETURN count(DISTINCT b)",
+    "MATCH (a:D) OPTIONAL MATCH (a)-[:E]->(b) WHERE b.i > 2 RETURN a.g, count(DISTINCT b) ORDER BY a.g",
+]
+
+
+def _distinct_runs(d, query):
+    """Normalized rows at every batch size, then at 4 morsel workers."""
+    cfg = d.graph.config
+    runs = []
+    for size, workers in [(s, 1) for s in BATCH_SIZES] + [(1024, 4), (7, 4)]:
+        cfg.exec_batch_size, cfg.parallel_workers, cfg.morsel_size = size, workers, 7
+        try:
+            runs.append(_normalize(d.query(query).rows))
+        finally:
+            cfg.exec_batch_size, cfg.parallel_workers, cfg.morsel_size = 1024, 1, 2048
+    return runs
+
+
+@pytest.mark.parametrize("query", DISTINCT_QUERIES)
+def test_count_distinct_batch_and_worker_invariance(distinct_db, query):
+    runs = _distinct_runs(distinct_db, query)
+    assert all(run == runs[0] for run in runs), query
+
+
+def test_count_distinct_values_match_python_sets(distinct_db):
+    """The exact answers: Python set semantics over the row engine's
+    dedup keys (2**53 != 2**53 + 1, 1 == 1.0 == true, '1' != 1)."""
+    present = [v for v in DISTINCT_VALUES if v is not None]
+    by_group = {}
+    for i, v in enumerate(DISTINCT_VALUES):
+        if v is not None:
+            by_group.setdefault(i % 3, set()).add(_hashable(v))
+    ungrouped = [(len({_hashable(v) for v in present}), len(present))]
+    grouped = [(g, len(by_group[g])) for g in sorted(by_group)]
+    for run in _distinct_runs(distinct_db, DISTINCT_QUERIES[0]):
+        assert run == ungrouped
+    for run in _distinct_runs(distinct_db, DISTINCT_QUERIES[1]):
+        assert run == grouped
 
 
 def test_params_are_batch_invariant(db):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.grblas import Mask, Matrix, Vector, binary, monoid, semiring
 from repro.grblas import _kernels as K
-from repro.grblas import binary, monoid
+from repro.grblas.descriptor import Descriptor
 
 
 class TestConcatRanges:
@@ -139,6 +140,77 @@ class TestMergeUnion:
             binary.plus, np.float64,
         )
         assert np.array_equal(keys, [1]) and vals[0] == 2.0
+
+    @pytest.mark.parametrize(
+        "a_dtype,b_dtype,out_dtype",
+        [
+            (np.float64, np.float64, np.float64),
+            (np.int64, np.int64, np.int64),
+            (np.bool_, np.bool_, np.bool_),
+            (np.int8, np.float64, np.float64),
+        ],
+    )
+    @pytest.mark.parametrize("op_name", ["plus", "first", "second", "lor", None])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_union1d_and_op(self, a_dtype, b_dtype, out_dtype, op_name, seed):
+        """Keys equal ``np.union1d``; a key held by one side copies its
+        value, a key held by both gets ``op(a, b)`` (``b`` without op)."""
+        rng = np.random.default_rng(seed)
+        ka = np.unique(rng.integers(0, 60, 25))
+        kb = np.unique(rng.integers(0, 60, 25))
+        va = rng.integers(0, 5, len(ka)).astype(a_dtype)
+        vb = rng.integers(0, 5, len(kb)).astype(b_dtype)
+        op = None if op_name is None else getattr(binary, op_name)
+        keys, vals = K.merge_union(ka, va, kb, vb, op, out_dtype)
+        assert np.array_equal(keys, np.union1d(ka, kb))
+        a_at = dict(zip(ka.tolist(), range(len(ka))))
+        b_at = dict(zip(kb.tolist(), range(len(kb))))
+        for key, got in zip(keys.tolist(), vals.tolist()):
+            if key in a_at and key in b_at:
+                ia, ib = a_at[key], b_at[key]
+                want = vb[ib] if op is None else op(va[ia : ia + 1], vb[ib : ib + 1])[0]
+            elif key in a_at:
+                want = va[a_at[key]]
+            else:
+                want = vb[b_at[key]]
+            assert got == np.asarray(want).astype(out_dtype), (key, op_name)
+        assert vals.dtype == out_dtype
+
+
+class TestSortedUnique:
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=40))
+    def test_matches_np_unique(self, values):
+        arr = np.array(values, dtype=np.int64)
+        assert np.array_equal(K.sorted_unique(arr), np.unique(arr))
+
+
+class TestMaskedVxmDedupe:
+    """The structural masked vxm dedupes its fresh columns by a sort or
+    by a dense scatter, picked from the input sizes; both sides of the
+    rule must return the identical vector."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("frontier_size", [1, 5, 40])
+    def test_sort_and_dense_sides_agree(self, monkeypatch, seed, frontier_size):
+        rng = np.random.default_rng(seed)
+        n = 64
+        A = Matrix.from_edges(rng.integers(0, n, 300), rng.integers(0, n, 300), nrows=n)
+        frontier = Vector.from_coo(rng.choice(n, frontier_size, replace=False), None, size=n)
+        visited = Vector.from_coo(rng.choice(n, 20, replace=False), None, size=n)
+        mask = Mask(visited, complement=True, structure=True)
+
+        def expand(ratio):
+            monkeypatch.setattr(K, "DENSE_DEDUPE_RATIO", ratio)
+            out = frontier.vxm(A, semiring.any_pair, mask=mask, desc=Descriptor(replace=True))
+            out.check_invariants()
+            return out
+
+        dense, by_sort = expand(10**9), expand(0)
+        # reference: every out-neighbour of the frontier, minus visited
+        rows, cols, _ = A.to_coo()
+        reached = set(cols[np.isin(rows, frontier.indices)].tolist())
+        expected = sorted(reached - set(visited.indices.tolist()))
+        assert dense.indices.tolist() == by_sort.indices.tolist() == expected
 
 
 class TestCooToCsr:
