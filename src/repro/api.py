@@ -50,9 +50,7 @@ class GraphDB:
 
     def ro_query(self, text: str, params: Optional[Dict[str, Any]] = None) -> QueryResult:
         """Run a query that must be read-only (GRAPH.RO_QUERY): raises
-        before executing anything when the plan contains updates.  Read
-        plans here (and in :meth:`query`) run morsel-parallel when
-        ``parallel_workers`` > 1."""
+        before executing anything when the plan contains updates."""
         return self.engine.ro_query(text, params)
 
     def explain(self, text: str, params: Optional[Dict[str, Any]] = None) -> str:

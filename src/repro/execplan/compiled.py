@@ -99,7 +99,6 @@ class CompiledQuery:
         "param_names",
         "schema_version",
         "stats_epoch",
-        "est_max_rows",
         "proc_version",
     )
 
@@ -112,7 +111,6 @@ class CompiledQuery:
         param_names: FrozenSet[str],
         schema_version: int,
         stats_epoch: Optional[int] = None,
-        est_max_rows: Optional[float] = None,
         proc_version: int = 0,
     ) -> None:
         self.text = text
@@ -123,8 +121,6 @@ class CompiledQuery:
         self.schema_version = schema_version
         # statistics epoch the estimates were priced at (None = rule-based)
         self.stats_epoch = stats_epoch
-        # largest per-op estimate in the tree (morsel pre-sizing signal)
-        self.est_max_rows = est_max_rows
         # procedure-registry version the plan resolved CALLs against
         self.proc_version = proc_version
 
@@ -172,14 +168,12 @@ def compile_query(text: str, schema: PlanSchema) -> CompiledQuery:
     plans = [plan_single_query(part, schema) for part in ast.parts]
     for planned in plans:
         planned.root = optimize(planned.root)
-    est_max: Optional[float] = None
     if schema.stats is not None:
         from repro.execplan.cost import CostModel, annotate_estimates
 
         model = CostModel(schema.stats)
-        est_max = 0.0
         for planned in plans:
-            est_max = max(est_max, annotate_estimates(planned.root, model))
+            annotate_estimates(planned.root, model)
     writes = any(p.writes for p in plans)
     from repro.procedures import registry as proc_registry
 
@@ -191,6 +185,5 @@ def compile_query(text: str, schema: PlanSchema) -> CompiledQuery:
         param_names=collect_param_names(ast),
         schema_version=schema.version,
         stats_epoch=schema.stats.epoch if schema.stats is not None else None,
-        est_max_rows=est_max,
         proc_version=proc_registry.version,
     )

@@ -363,25 +363,13 @@ def _vector_seek_estimate(op: ProcedureCall, model: CostModel) -> Optional[float
     return max(1.0, pool)
 
 
-def annotate_estimates(root: PlanOp, model: CostModel) -> float:
-    """Post-order pass stamping ``op.est_rows`` on every operation.
-
-    Returns the largest estimate in the tree (the executor's
-    morsel-worthiness signal).  Estimates are heuristic row counts, never
+def annotate_estimates(root: PlanOp, model: CostModel) -> None:
+    """Post-order pass stamping ``op.est_rows`` on every operation, which
+    EXPLAIN and PROFILE print.  Estimates are heuristic row counts, never
     used for correctness — operators ignore the attribute at runtime."""
-    peak = 0.0
-
-    def visit(op: PlanOp) -> float:
-        nonlocal peak
-        for child in op.children:
-            visit(child)
-        est = _estimate(op, model)
-        op.est_rows = est
-        peak = max(peak, est)
-        return est
-
-    visit(root)
-    return peak
+    for child in root.children:
+        annotate_estimates(child, model)
+    root.est_rows = _estimate(root, model)
 
 
 def _child_est(op: PlanOp, index: int = 0) -> float:

@@ -16,9 +16,10 @@ The pipeline is split in two (RedisGraph's query-cache architecture):
   against the live graph).  Plan operations are stateless, so any number
   of readers may execute one cached artifact concurrently.
 
-Concurrency follows the paper: the engine itself runs each query on a
-single thread; read queries take the graph's read lock (many concurrent
-readers), update queries take the write lock.  The server layer feeds
+Concurrency follows the paper: the engine runs each query start to
+finish on the calling thread (nothing splits one query across threads);
+read queries take the graph's read lock (many concurrent readers),
+update queries take the write lock.  The server layer feeds
 queries to a pool; embedded callers just call :meth:`QueryEngine.query`.
 """
 
@@ -30,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import CypherSemanticError, GraphError
 from repro.execplan.compiled import CompiledQuery, PlanSchema, compile_query
 from repro.execplan.expressions import ExecContext
-from repro.execplan.morsel import MorselDriver
 from repro.execplan.plan_cache import PlanCache
 from repro.execplan.profiling import ProfileRun
 from repro.execplan.resultset import QueryResult, QueryStatistics, ResultSet
@@ -115,18 +115,6 @@ class QueryEngine:
             # lock.  Writers re-resolve so later clauses see earlier writes.
             cache_operands=not compiled.writes,
         )
-        # Intra-query morsel parallelism: read plans only (writers hold
-        # the write lock and mutate — they stay strictly serial), gated
-        # on the parallel_workers knob.  parallel_workers=1 leaves the
-        # driver off and reproduces the serial engine exactly.
-        workers = self.graph.config.parallel_workers
-        if workers > 1 and not compiled.writes:
-            # morsel pre-sizing from the cost model: a plan whose largest
-            # estimated operator output fits inside one morsel can't split
-            # into 2+ partitions — skip the driver (and its pool handshake)
-            est = compiled.est_max_rows
-            if est is None or est >= self.graph.config.morsel_size:
-                ctx.driver = MorselDriver(workers, self.graph.config.morsel_size)
         started = time.perf_counter()
         lock = self.graph.lock.write() if compiled.writes else self.graph.lock.read()
         with lock:
@@ -134,9 +122,6 @@ class QueryEngine:
             if on_commit is not None and compiled.writes:
                 on_commit()
         stats.execution_time_ms = (time.perf_counter() - started) * 1e3
-        if ctx.driver is not None and ctx.driver.morsels:
-            stats.parallel_workers = ctx.driver.workers
-            stats.morsels = ctx.driver.morsels
         return result
 
     def query(

@@ -14,7 +14,7 @@ exactly ``true``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import CypherSemanticError, CypherTypeError
 from repro.cypher import ast_nodes as A
@@ -58,8 +58,6 @@ class ExecContext:
         "cache_operands",
         "_operands",
         "batch_size",
-        "driver",
-        "morsel_size",
     )
 
     def __init__(self, graph, params=None, stats=None, profile=None, *, cache_operands=False) -> None:
@@ -72,10 +70,6 @@ class ExecContext:
         self._operands = {}
         # record-batch granularity for this run; 1 = row-at-a-time
         self.batch_size = graph.config.exec_batch_size if graph is not None else 1
-        # intra-query parallelism: the executor attaches a MorselDriver to
-        # read-only runs when parallel_workers > 1; None means serial
-        self.driver = None
-        self.morsel_size = graph.config.morsel_size if graph is not None else 2048
 
     def operand(self, key, resolve):
         """Bind one algebraic operand against the live graph (memoized for

@@ -25,7 +25,7 @@ cached plan.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.execplan.batch import RecordBatch
 from repro.execplan.expressions import ExecContext
@@ -65,42 +65,6 @@ class PlanOp:
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         raise NotImplementedError
-
-    # -- morsel parallelism ----------------------------------------------
-    def partitions(self, ctx: ExecContext) -> Optional[List[Callable[[], Iterator[RecordBatch]]]]:
-        """Split this operation's batch stream into independent morsel
-        thunks, each a zero-argument callable returning the batches of
-        one disjoint slice — concatenated in list order they must equal
-        the serial ``produce_batches`` stream exactly.  Returns None when
-        the operation (or the subtree below it) cannot partition; the
-        caller then falls back to the serial stream.  Final: subclasses
-        implement ``_partitions``."""
-        if ctx.driver is None:
-            return None
-        parts = self._partitions(ctx)
-        if parts is None:
-            return None
-        if ctx.profile is not None:
-            profile = ctx.profile
-            parts = [
-                (lambda t=t: profile.wrap_partition(self, t())) for t in parts
-            ]
-        return parts
-
-    def _partitions(self, ctx: ExecContext) -> Optional[List[Callable[[], Iterator[RecordBatch]]]]:
-        return None
-
-    def child_stream(self, ctx: ExecContext, index: int = 0) -> Iterator[RecordBatch]:
-        """The child's batch stream, evaluated morsel-parallel when the
-        run has a driver and the child can partition — the entry point
-        stateful operators (Aggregate, Sort, Results, ...) use instead of
-        calling ``produce_batches`` directly."""
-        child = self.children[index]
-        if ctx.driver is not None:
-            stream = ctx.driver.stream(child, ctx)
-            if stream is not None:
-                return stream
-        return child.produce_batches(ctx)
 
     # -- plan rendering --------------------------------------------------
     def describe(self) -> str:

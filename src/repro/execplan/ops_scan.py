@@ -60,31 +60,6 @@ class _NodeEmitScan(PlanOp):
         correlated value expressions)."""
         return False
 
-    def _partitions(self, ctx: ExecContext):
-        """Childless scans split their id vector into morsel-sized slices;
-        each morsel emits its slice in ``ctx.batch_size`` chunks, so the
-        concatenation equals the serial stream row-for-row.  Scans that
-        extend a child stream do not partition (the parallel split, if
-        any, happens below them)."""
-        if self.children:
-            return None
-        ids = np.asarray(self._node_ids(ctx, None), dtype=_I64)
-        morsel = max(1, ctx.morsel_size)
-        if len(ids) <= morsel:
-            return None
-        graph = ctx.graph
-        layout = self.out_layout
-        size = ctx.batch_size
-
-        def emit(part: np.ndarray):
-            def batches() -> Iterator[RecordBatch]:
-                for sl in _chunks(len(part), size):
-                    yield RecordBatch(layout, [EntityColumn("node", part[sl], graph)])
-
-            return batches
-
-        return [emit(ids[sl]) for sl in _chunks(len(ids), morsel)]
-
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         size = ctx.batch_size
         graph = ctx.graph

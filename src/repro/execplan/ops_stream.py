@@ -153,18 +153,8 @@ class Filter(PlanOp):
         return f"Filter | {self._label}" if self._label else "Filter"
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        return self._transform(ctx, self.children[0].produce_batches(ctx))
-
-    def _partitions(self, ctx: ExecContext):
-        # a pure per-batch map: rides its child's partitions
-        parts = self.children[0].partitions(ctx)
-        if parts is None:
-            return None
-        return [(lambda t=t: self._transform(ctx, t())) for t in parts]
-
-    def _transform(self, ctx: ExecContext, stream: Iterator[RecordBatch]) -> Iterator[RecordBatch]:
         scalar_only = ctx.batch_size == 1  # the row engine, exactly
-        for batch in stream:
+        for batch in self.children[0].produce_batches(ctx):
             for scalar, batched in self._pairs:
                 if not batch.length:
                     break
@@ -205,19 +195,9 @@ class Project(PlanOp):
         return f"Project | {', '.join(n for n, _ in self._items)}"
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        return self._transform(ctx, self.children[0].produce_batches(ctx))
-
-    def _partitions(self, ctx: ExecContext):
-        # a pure per-batch map: rides its child's partitions
-        parts = self.children[0].partitions(ctx)
-        if parts is None:
-            return None
-        return [(lambda t=t: self._transform(ctx, t())) for t in parts]
-
-    def _transform(self, ctx: ExecContext, stream: Iterator[RecordBatch]) -> Iterator[RecordBatch]:
         fns = [fn for _, fn in self._items]
         scalar_only = ctx.batch_size == 1  # the row engine, exactly
-        for batch in stream:
+        for batch in self.children[0].produce_batches(ctx):
             n = batch.length
             if not n:
                 continue
@@ -332,12 +312,10 @@ class Aggregate(PlanOp):
     # ------------------------------------------------------------------
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         specs = [spec for _, spec in self._aggs]
-        groups = self._parallel_groups(ctx, specs)
-        if groups is None:
-            groups = {}
-            for batch in self.child_stream(ctx):
-                if batch.length:
-                    self._absorb_batch(ctx, groups, batch, specs)
+        groups: dict = {}
+        for batch in self.children[0].produce_batches(ctx):
+            if batch.length:
+                self._absorb_batch(ctx, groups, batch, specs)
         if not groups and not self._group:
             groups[()] = ([], [_AggState() for _ in specs])
         out_rows: List[Record] = []
@@ -360,60 +338,6 @@ class Aggregate(PlanOp):
             else:
                 val_cols.append(_eval_column(bfn, spec.expr, batch, ctx))
         self._absorb(ctx, groups, key_cols, val_cols, specs, n)
-
-    # -- morsel parallelism --------------------------------------------
-    def _parallel_groups(self, ctx, specs) -> Optional[dict]:
-        """Accumulate partition-local group dicts on the morsel workers,
-        then merge them in partition order — first-appearance group order
-        and collect()/tie semantics come out identical to the serial
-        absorb because partition order IS serial stream order.  DISTINCT
-        aggregates cannot merge (partition-local ``seen`` sets would
-        double-count across partitions), so they take the serial path."""
-        if ctx.driver is None or any(spec.distinct for spec in specs):
-            return None
-        parts = self.children[0].partitions(ctx)
-        if parts is None or len(parts) < 2:
-            return None
-        ctx.driver.morsels += len(parts)
-
-        def absorb_part(t):
-            def run() -> dict:
-                local: dict = {}
-                for batch in t():
-                    if batch.length:
-                        self._absorb_batch(ctx, local, batch, specs)
-                return local
-
-            return run
-
-        groups: dict = {}
-        for local in ctx.driver.run_ordered([absorb_part(t) for t in parts]):
-            for key, (key_values, states) in local.items():
-                entry = groups.get(key)
-                if entry is None:
-                    groups[key] = (key_values, states)
-                else:
-                    for spec, dst, src in zip(specs, entry[1], states):
-                        self._merge_state(spec, dst, src)
-        return groups
-
-    @staticmethod
-    def _merge_state(spec: AggSpec, dst: _AggState, src: _AggState) -> None:
-        """Fold a later partition's partial state into an earlier one.
-        Deterministic for every non-DISTINCT aggregate: counts and sums
-        add, collect concatenates in partition order, min/max keep the
-        earlier value on ties (``src`` only wins strictly)."""
-        dst.count += src.count
-        dst.total += src.total
-        dst.values.extend(src.values)
-        if src.best is not None:
-            if dst.best is None:
-                dst.best = src.best
-            elif spec.kind == "min":
-                if sort_key(src.best) < sort_key(dst.best):
-                    dst.best = src.best
-            elif sort_key(src.best) > sort_key(dst.best):
-                dst.best = src.best
 
     # ------------------------------------------------------------------
     def _absorb(self, ctx, groups, key_cols, val_cols, specs, n) -> None:
@@ -783,12 +707,7 @@ class Sort(PlanOp):
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         size = ctx.batch_size
-        if ctx.driver is not None:
-            parts = self.children[0].partitions(ctx)
-            if parts is not None and len(parts) >= 2:
-                yield from self._parallel_sort(ctx, parts, size)
-                return
-        stream = self.child_stream(ctx)
+        stream = self.children[0].produce_batches(ctx)
         if 0 <= self.top <= 16 * size:
             # streaming top-k: fold each batch into the kept head, holding
             # O(top + batch) rows instead of materializing the input (ties
@@ -813,34 +732,6 @@ class Sort(PlanOp):
         big = RecordBatch.concat(self.out_layout, batches)
         yield from self._sorted_batch(big, ctx, self.top).chunks(size)
 
-    def _parallel_sort(self, ctx: ExecContext, parts, size: int) -> Iterator[RecordBatch]:
-        """Each morsel stably sorts (and top-k truncates) its own slice;
-        the partials concatenate in partition order and one final stable
-        sort merges them.  Stable-sorting a concatenation whose equal-key
-        rows kept their original relative order yields exactly the serial
-        stable sort, and per-partition top-k truncation can never drop a
-        row of the global top-k."""
-        ctx.driver.morsels += len(parts)
-        limit = self.top if self.top >= 0 else -1
-
-        def sort_part(t):
-            def run() -> Optional[RecordBatch]:
-                batches = [b for b in t() if b.length]
-                if not batches:
-                    return None
-                big = RecordBatch.concat(self.out_layout, batches)
-                return self._sorted_batch(big, ctx, limit)
-
-            return run
-
-        partials = [
-            p for p in ctx.driver.run_ordered([sort_part(t) for t in parts]) if p is not None
-        ]
-        if not partials:
-            return
-        big = RecordBatch.concat(self.out_layout, partials)
-        yield from self._sorted_batch(big, ctx, self.top).chunks(size)
-
 
 class Distinct(PlanOp):
     name = "Distinct"
@@ -849,13 +740,11 @@ class Distinct(PlanOp):
         super().__init__([child], child.out_layout)
 
     @staticmethod
-    def _dedup(batch: RecordBatch, seen: set) -> Tuple[RecordBatch, List[Any]]:
-        """The batch filtered against (and added to) ``seen``; also returns
-        the kept rows' keys, in emission order."""
+    def _dedup(batch: RecordBatch, seen: set) -> RecordBatch:
+        """The batch filtered against (and added to) ``seen``."""
         n = batch.length
         hash_cols = [c.hash_keys() for c in batch.columns]
         mask = np.empty(n, dtype=np.bool_)
-        kept: List[Any] = []
         if len(hash_cols) == 1:
             keys = hash_cols[0]
             for i in range(n):
@@ -865,7 +754,6 @@ class Distinct(PlanOp):
                 else:
                     seen.add(key)
                     mask[i] = True
-                    kept.append(key)
         else:
             for i in range(n):
                 key = tuple(h[i] for h in hash_cols)
@@ -874,57 +762,16 @@ class Distinct(PlanOp):
                 else:
                     seen.add(key)
                     mask[i] = True
-                    kept.append(key)
-        return batch.compress(mask), kept
+        return batch.compress(mask)
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        if ctx.driver is not None:
-            parts = self.children[0].partitions(ctx)
-            if parts is not None and len(parts) >= 2:
-                yield from self._parallel_distinct(ctx, parts)
-                return
         seen: set = set()
-        for batch in self.child_stream(ctx):
+        for batch in self.children[0].produce_batches(ctx):
             if not batch.length:
                 continue
-            out, _ = self._dedup(batch, seen)
+            out = self._dedup(batch, seen)
             if out.length:
                 yield out
-
-    def _parallel_distinct(self, ctx: ExecContext, parts) -> Iterator[RecordBatch]:
-        """Morsels dedup locally; the coordinator re-filters the survivors
-        against the global seen set in partition order, so the first
-        occurrence of every key — in serial stream order — is the one
-        emitted, exactly like the serial pass."""
-        ctx.driver.morsels += len(parts)
-
-        def dedup_part(t):
-            def run() -> List[Tuple[RecordBatch, List[Any]]]:
-                local_seen: set = set()
-                out = []
-                for batch in t():
-                    if not batch.length:
-                        continue
-                    kept_batch, kept_keys = self._dedup(batch, local_seen)
-                    if kept_batch.length:
-                        out.append((kept_batch, kept_keys))
-                return out
-
-            return run
-
-        seen: set = set()
-        for part_out in ctx.driver.run_ordered([dedup_part(t) for t in parts]):
-            for batch, keys in part_out:
-                mask = np.empty(len(keys), dtype=np.bool_)
-                for i, key in enumerate(keys):
-                    if key in seen:
-                        mask[i] = False
-                    else:
-                        seen.add(key)
-                        mask[i] = True
-                out = batch.compress(mask)
-                if out.length:
-                    yield out
 
 
 def _checked_count(count_fn: CompiledExpr, ctx: ExecContext, keyword: str) -> int:
@@ -948,7 +795,7 @@ class Skip(PlanOp):
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         n = _checked_count(self._count, ctx, "SKIP")
         skipped = 0
-        for batch in self.child_stream(ctx):
+        for batch in self.children[0].produce_batches(ctx):
             if skipped < n:
                 take = min(batch.length, n - skipped)
                 skipped += take
@@ -970,7 +817,7 @@ class Limit(PlanOp):
         remaining = _checked_count(self._count, ctx, "LIMIT")
         if remaining <= 0:
             return
-        for batch in self.child_stream(ctx):
+        for batch in self.children[0].produce_batches(ctx):
             if batch.length >= remaining:
                 yield batch.slice(0, remaining)
                 return
@@ -996,17 +843,7 @@ class Unwind(PlanOp):
         return f"Unwind | {self._alias}"
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        return self._transform(ctx, self.children[0].produce_batches(ctx))
-
-    def _partitions(self, ctx: ExecContext):
-        # a pure per-batch fan-out: rides its child's partitions
-        parts = self.children[0].partitions(ctx)
-        if parts is None:
-            return None
-        return [(lambda t=t: self._transform(ctx, t())) for t in parts]
-
-    def _transform(self, ctx: ExecContext, stream: Iterator[RecordBatch]) -> Iterator[RecordBatch]:
-        for batch in stream:
+        for batch in self.children[0].produce_batches(ctx):
             n = batch.length
             if not n:
                 continue
@@ -1048,7 +885,7 @@ class CartesianProduct(PlanOp):
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
         right_layout = self.children[1].out_layout
-        right_batches = [b for b in self.child_stream(ctx, 1) if b.length]
+        right_batches = [b for b in self.children[1].produce_batches(ctx) if b.length]
         if not right_batches:
             return
         right = RecordBatch.concat(right_layout, right_batches)
@@ -1057,7 +894,7 @@ class CartesianProduct(PlanOp):
         width = len(self.out_layout)
         if not self._disjoint:
             right_rows = right.materialize_rows()
-            for batch in self.child_stream(ctx):
+            for batch in self.children[0].produce_batches(ctx):
                 out_rows = []
                 for left_rec in batch.iter_rows():
                     for right_rec in right_rows:
@@ -1067,7 +904,7 @@ class CartesianProduct(PlanOp):
                         out_rows.append(out)
                 yield from _chunk_rows(self.out_layout, out_rows, size)
             return
-        for batch in self.child_stream(ctx):
+        for batch in self.children[0].produce_batches(ctx):
             n = batch.length
             if not n:
                 continue
@@ -1127,6 +964,4 @@ class Results(PlanOp):
         super().__init__([child], child.out_layout)
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        # the root's pull is where morsel parallelism enters plans whose
-        # operator stack is entirely stateless (scan→filter→project→...)
-        return self.child_stream(ctx)
+        return self.children[0].produce_batches(ctx)

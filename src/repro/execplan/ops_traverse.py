@@ -116,25 +116,6 @@ class ConditionalTraverse(PlanOp):
             if out is not None and out.length:
                 yield out
 
-    def _partitions(self, ctx: ExecContext):
-        """The traversal is a pure per-batch map (one frontier matmul per
-        batch), so it rides its child's partitions: each morsel expands
-        its own slice of source rows."""
-        parts = self.children[0].partitions(ctx)
-        if parts is None:
-            return None
-
-        def expand_part(t):
-            def batches() -> Iterator[RecordBatch]:
-                for batch in rechunk(t(), ctx.batch_size):
-                    out = self._expand(ctx, batch)
-                    if out is not None and out.length:
-                        yield out
-
-            return batches
-
-        return [expand_part(t) for t in parts]
-
     def _expand(self, ctx: ExecContext, batch: RecordBatch) -> Optional[RecordBatch]:
         graph = ctx.graph
         batch, (src_ids,) = _bound_rows(batch, self._src_slot)
@@ -227,24 +208,6 @@ class ExpandInto(PlanOp):
             out = self._probe(ctx, batch)
             if out is not None and out.length:
                 yield out
-
-    def _partitions(self, ctx: ExecContext):
-        """A pure per-batch structural probe — rides its child's
-        partitions like ConditionalTraverse."""
-        parts = self.children[0].partitions(ctx)
-        if parts is None:
-            return None
-
-        def probe_part(t):
-            def batches() -> Iterator[RecordBatch]:
-                for batch in rechunk(t(), ctx.batch_size):
-                    out = self._probe(ctx, batch)
-                    if out is not None and out.length:
-                        yield out
-
-            return batches
-
-        return [probe_part(t) for t in parts]
 
     def _probe(self, ctx: ExecContext, batch: RecordBatch) -> Optional[RecordBatch]:
         graph = ctx.graph

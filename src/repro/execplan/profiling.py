@@ -10,7 +10,6 @@ can run concurrently without touching each other's numbers.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterator
 
@@ -18,13 +17,12 @@ __all__ = ["ProfileRun"]
 
 
 class _OpCounters:
-    __slots__ = ("rows", "batches", "ms", "morsels")
+    __slots__ = ("rows", "batches", "ms")
 
     def __init__(self) -> None:
         self.rows = 0
         self.batches = 0
         self.ms = 0.0
-        self.morsels = 0
 
 
 def _metered(gen: Iterator, counters: _OpCounters) -> Iterator:
@@ -47,9 +45,6 @@ class ProfileRun:
 
     def __init__(self) -> None:
         self._counters: Dict[int, _OpCounters] = {}
-        # serial metering runs on the coordinator thread only; morsel
-        # partitions meter locally and flush here under the lock
-        self._lock = threading.Lock()
 
     def _counters_for(self, op) -> _OpCounters:
         counters = self._counters.get(id(op))
@@ -64,30 +59,10 @@ class ProfileRun:
         across those re-invocations, like RedisGraph's per-op totals."""
         return _metered(gen, self._counters_for(op))
 
-    def wrap_partition(self, op, gen: Iterator) -> Iterator:
-        """Meter one morsel of ``op``'s partitioned stream.  Runs on a
-        worker thread, so counters accumulate locally and flush into the
-        shared totals under the run's lock when the morsel finishes;
-        summed across morsels, per-op row counts equal the serial run's."""
-        local = _OpCounters()
-        local.morsels = 1
-        try:
-            yield from _metered(gen, local)
-        finally:
-            with self._lock:
-                counters = self._counters_for(op)
-                counters.rows += local.rows
-                counters.batches += local.batches
-                counters.ms += local.ms
-                counters.morsels += local.morsels
-
     def suffix(self, op) -> str:
         """The EXPLAIN-line decoration for one operation."""
         counters = self._counters.get(id(op)) or _OpCounters()
-        line = (
+        return (
             f" | Records produced: {counters.rows}, Batches: {counters.batches}, "
             f"Execution time: {counters.ms:.6f} ms"
         )
-        if counters.morsels:
-            line += f", Morsels: {counters.morsels}"
-        return line

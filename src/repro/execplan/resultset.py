@@ -8,7 +8,7 @@ consumers (``column()``, ``scalar()``) never pay the transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = ["QueryStatistics", "ResultSet", "QueryResult"]
@@ -26,9 +26,6 @@ class QueryStatistics:
     indices_deleted: int = 0
     execution_time_ms: float = 0.0
     cached_execution: bool = False
-    # intra-query parallelism (0/0 on serial runs and write queries)
-    parallel_workers: int = 0
-    morsels: int = 0
 
     def summary(self) -> List[str]:
         """Human-readable non-zero counters, RedisGraph reply style."""
@@ -46,11 +43,6 @@ class QueryStatistics:
             value = getattr(self, attr)
             if value:
                 parts.append(f"{label}: {value}")
-        if self.morsels:
-            parts.append(
-                f"Parallel execution: {self.parallel_workers} workers, "
-                f"{self.morsels} morsels"
-            )
         # always reported, like RedisGraph: 1 = the plan came from the cache
         parts.append(f"Cached execution: {1 if self.cached_execution else 0}")
         parts.append(f"Query internal execution time: {self.execution_time_ms:.6f} milliseconds")

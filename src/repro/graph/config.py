@@ -122,25 +122,6 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
         doc="Capacity of the per-graph LRU plan cache; 0 disables caching.",
     ),
     ConfigSpec(
-        name="parallel_workers",
-        default=1,
-        env="REPRO_PARALLEL_WORKERS",
-        mutable=True,
-        min=1,
-        doc=(
-            "Morsel workers cooperating on one read query; 1 reproduces the "
-            "serial engine exactly (the parallel differential hook)."
-        ),
-    ),
-    ConfigSpec(
-        name="morsel_size",
-        default=2048,
-        env="REPRO_MORSEL_SIZE",
-        mutable=True,
-        min=1,
-        doc="Rows per morsel when a read plan is split across parallel workers.",
-    ),
-    ConfigSpec(
         name="cost_based_planner",
         default=1,
         env="REPRO_COST_BASED_PLANNER",
@@ -186,13 +167,6 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
             "coarse quantizer; below this (or with exact: true) queries "
             "stay on the brute-force path."
         ),
-    ),
-    ConfigSpec(
-        name="io_threads",
-        default=1,
-        env="REPRO_IO_THREADS",
-        min=1,
-        doc="Socket I/O event-loop threads in the server (set at startup).",
     ),
     ConfigSpec(
         name="wal_fsync",
@@ -245,8 +219,6 @@ class GraphConfig:
     delta_max_pending: int = field(default_factory=_spec_default("delta_max_pending"))
     exec_batch_size: int = field(default_factory=_spec_default("exec_batch_size"))
     plan_cache_size: int = field(default_factory=_spec_default("plan_cache_size"))
-    parallel_workers: int = field(default_factory=_spec_default("parallel_workers"))
-    morsel_size: int = field(default_factory=_spec_default("morsel_size"))
     cost_based_planner: int = field(
         default_factory=_spec_default("cost_based_planner")
     )
@@ -257,7 +229,6 @@ class GraphConfig:
         default_factory=_spec_default("vector_nprobe_default")
     )
     vector_train_min: int = field(default_factory=_spec_default("vector_train_min"))
-    io_threads: int = field(default_factory=_spec_default("io_threads"))
 
     wal_fsync: str = field(default_factory=_spec_default("wal_fsync"))
     wal_rotate_bytes: int = field(default_factory=_spec_default("wal_rotate_bytes"))

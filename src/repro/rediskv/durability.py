@@ -235,7 +235,7 @@ class DurabilityManager:
         for name, value in dict(self._manifest.get("config", {})).items():
             try:
                 module.config_set(name, str(value))
-            except ReproError:  # pragma: no cover - stale knob in manifest
+            except ReproError:  # a knob this build no longer has
                 pass
         anchors: Dict[str, int] = {}
         for key, info in dict(self._manifest.get("graphs", {})).items():
@@ -251,7 +251,7 @@ class DurabilityManager:
             if kind == "config":
                 try:
                     module.config_set(record["name"], str(record["value"]))
-                except ReproError:  # pragma: no cover - stale knob in log
+                except ReproError:  # a knob this build no longer has
                     pass
                 continue
             key = record["key"]

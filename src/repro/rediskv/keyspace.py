@@ -1,11 +1,11 @@
 """The key → typed-value store behind the server (a minimal Redis keyspace).
 
-Thread safety: with ``io_threads`` > 1 plain key-value commands execute
-concurrently on several I/O loops (and graph workers resolve keys from
-the pool), so every mutating entry point serializes on one internal
-lock.  Reads of a single dict slot are atomic under CPython, but the
-read-check-write commands (SET's type check, DEL's pop-and-count) are
-not — the lock covers those compound steps.
+Thread safety: plain key-value commands execute on the I/O loop while
+graph workers resolve, create and delete keys from the module pool, so
+every mutating entry point serializes on one internal lock.  Reads of a
+single dict slot are atomic under CPython, but the read-check-write
+commands (SET's type check, DEL's pop-and-count) are not — the lock
+covers those compound steps.
 """
 
 from __future__ import annotations

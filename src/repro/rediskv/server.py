@@ -1,23 +1,19 @@
-"""The Redis-like server: N I/O event loops plus the module pool.
+"""The Redis-like server: one I/O event loop plus the module pool.
 
-Faithful to the paper's architecture, extended with Redis 6-style
-``io-threads``:
+Faithful to the paper's architecture:
 
-* ``io_threads`` ``selectors``-based event loops (default 1 — exactly
-  the classic single-threaded Redis shape) parse RESP commands and
-  execute plain key-value commands inline.  Loop 0 owns the listening
-  socket and deals accepted connections round-robin across loops; a
-  connection lives on one loop for its whole life, so per-connection
-  state is never shared between I/O threads.
+* one ``selectors``-based event loop — the classic single-threaded
+  Redis shape — accepts connections, parses RESP commands and executes
+  plain key-value commands inline,
 * ``GRAPH.*`` commands are handed to the module's :class:`ThreadPool`;
-  the worker computes the reply and wakes the owning loop through its
-  self-pipe,
+  one worker runs the whole query, computes the reply and wakes the
+  loop through its self-pipe,
 * replies are flushed strictly in per-connection request order, so a slow
   graph query never reorders a connection's replies (Redis semantics).
 
 Run standalone::
 
-    python -m repro.rediskv.server --port 6379 --threads 4 --io-threads 2
+    python -m repro.rediskv.server --port 6379 --threads 4
 """
 
 from __future__ import annotations
@@ -27,10 +23,10 @@ import selectors
 import socket
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
 from repro._version import __version__
-from repro.errors import ReproError, WrongTypeError
+from repro.errors import ReproError
 from repro.graph.config import GraphConfig
 from repro.rediskv.durability import DurabilityManager
 from repro.rediskv.graph_module import GraphModule
@@ -63,39 +59,30 @@ class _Connection:
 
 
 class _IOLoop:
-    """One event loop: a selector, a wake pipe, and the connections it owns.
+    """The event loop: a selector, the listening socket, a wake pipe, and
+    every connection.
 
-    Everything here runs on the loop's own thread except :meth:`adopt`
-    and :meth:`wake` (the cross-thread entry points, guarded by a lock
-    around the handoff queue and the wake pipe).
+    Everything here runs on the loop's own thread except :meth:`wake`,
+    which pool workers call when a reply is ready.
     """
 
-    def __init__(self, server: "RedisLikeServer", index: int) -> None:
+    def __init__(self, server: "RedisLikeServer", listen: socket.socket) -> None:
         self.server = server
-        self.index = index
+        self.listen = listen
         self.selector = selectors.DefaultSelector()
-        # self-pipe: workers/acceptor wake the loop when there is work
+        self.selector.register(listen, selectors.EVENT_READ, "accept")
+        # self-pipe: pool workers wake the loop when a reply is ready
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self.selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self.conns: Dict[socket.socket, _Connection] = {}
-        self._handoff: Deque[socket.socket] = deque()
-        self._lock = threading.Lock()
-        self.commands = 0  # incremented only on this loop's thread
-
-    # -- cross-thread entry points -------------------------------------
-    def adopt(self, sock: socket.socket) -> None:
-        """Hand a freshly accepted socket to this loop (acceptor thread)."""
-        with self._lock:
-            self._handoff.append(sock)
-        self.wake()
+        self.commands = 0
 
     def wake(self) -> None:
-        with self._lock:
-            try:
-                self._wake_w.send(b"x")
-            except OSError:  # pragma: no cover
-                pass
+        try:
+            self._wake_w.send(b"x")
+        except OSError:  # pragma: no cover - woken after teardown
+            pass
 
     # -- loop thread ---------------------------------------------------
     def run(self) -> None:
@@ -107,7 +94,7 @@ class _IOLoop:
         for key, mask in events:
             tag = key.data
             if tag == "accept":
-                self.server._accept()
+                self._accept()
             elif tag == "wake":
                 try:
                     self._wake_r.recv(4096)
@@ -116,18 +103,18 @@ class _IOLoop:
             elif isinstance(tag, _Connection):
                 if mask & selectors.EVENT_READ:
                     self._read(tag)
-        self._register_adopted()
         self._flush_ready()
 
-    def _register_adopted(self) -> None:
-        while True:
-            with self._lock:
-                if not self._handoff:
-                    return
-                sock = self._handoff.popleft()
-            conn = _Connection(sock)
-            self.conns[sock] = conn
-            self.selector.register(sock, selectors.EVENT_READ, conn)
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.listen.accept()
+        except BlockingIOError:  # pragma: no cover
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock)
+        self.conns[sock] = conn
+        self.selector.register(sock, selectors.EVENT_READ, conn)
 
     def close_conn(self, conn: _Connection) -> None:
         try:
@@ -188,7 +175,7 @@ class _IOLoop:
             server.pool.submit(run, callback=done)
             return
 
-        # plain commands execute inline on the owning I/O thread
+        # plain commands execute inline on the I/O thread
         try:
             slot.data = encode(server._plain_command(name, args))
         except ReproError as exc:
@@ -220,6 +207,7 @@ class _IOLoop:
         self.selector.close()
         self._wake_r.close()
         self._wake_w.close()
+        self.listen.close()
 
 
 class RedisLikeServer:
@@ -243,24 +231,15 @@ class RedisLikeServer:
             self.recovery_stats = self.durability.recover(self.module)
             self.module.durability = self.durability
         self.pool = ThreadPool(self.config.thread_count)
-        self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listen.bind((host, port))
-        self._listen.listen(128)
-        self._listen.setblocking(False)
-        self.host, self.port = self._listen.getsockname()
-        # I/O loops: loop 0 owns the listening socket; the rest receive
-        # connections round-robin from the acceptor
-        self.loops: List[_IOLoop] = [_IOLoop(self, i) for i in range(self.config.io_threads)]
-        self.loops[0].selector.register(self._listen, selectors.EVENT_READ, "accept")
-        self._rr = 0  # round-robin cursor (acceptor thread only)
+        listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listen.bind((host, port))
+        listen.listen(128)
+        listen.setblocking(False)
+        self.host, self.port = listen.getsockname()
+        self.loop = _IOLoop(self, listen)
         self._running = False
         self._thread: Optional[threading.Thread] = None
-        self._io_threads: List[threading.Thread] = []
-
-    @property
-    def commands_processed(self) -> int:
-        return sum(loop.commands for loop in self.loops)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -274,50 +253,17 @@ class RedisLikeServer:
 
     def serve_forever(self) -> None:
         self._running = True
-        self._io_threads = []
-        for loop in self.loops[1:]:
-            t = threading.Thread(target=loop.run, name=f"redis-io-{loop.index}", daemon=True)
-            t.start()
-            self._io_threads.append(t)
-        self.loops[0].run()
-        self._teardown()
-
-    def stop(self) -> None:
-        self._running = False
-        for loop in self.loops:
-            loop.wake()
-        if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join(timeout=5)
-
-    def _teardown(self) -> None:
-        for t in self._io_threads:
-            t.join(timeout=5)
+        self.loop.run()
         self.pool.shutdown()
         if self.durability is not None:
             self.durability.close()  # flush + fsync the write log
-        for loop in self.loops:
-            loop.teardown()
-        self._listen.close()
+        self.loop.teardown()
 
-    # ------------------------------------------------------------------
-    # Accepting (loop 0's thread only)
-    # ------------------------------------------------------------------
-    def _accept(self) -> None:
-        try:
-            sock, _ = self._listen.accept()
-        except BlockingIOError:  # pragma: no cover
-            return
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        loop = self.loops[self._rr % len(self.loops)]
-        self._rr += 1
-        if loop is self.loops[0]:
-            # no cross-thread handoff needed: register directly
-            conn = _Connection(sock)
-            loop.conns[sock] = conn
-            loop.selector.register(sock, selectors.EVENT_READ, conn)
-        else:
-            loop.adopt(sock)
+    def stop(self) -> None:
+        self._running = False
+        self.loop.wake()
+        if self._thread is not None and self._thread is not threading.current_thread():
+            self._thread.join(timeout=5)
 
     # ------------------------------------------------------------------
     # Command implementations
@@ -404,16 +350,14 @@ class RedisLikeServer:
             return (
                 f"# Server\r\nrepro_version:{__version__}\r\n"
                 f"graph_thread_count:{self.pool.size}\r\n"
-                f"io_threads:{len(self.loops)}\r\n"
-                f"commands_processed:{self.commands_processed}\r\n"
+                f"commands_processed:{self.loop.commands}\r\n"
                 f"keys:{len(self.keyspace)}\r\n"
             )
         if name == "COMMAND":
             return []
         if name == "SHUTDOWN":
             self._running = False
-            for loop in self.loops:
-                loop.wake()
+            self.loop.wake()
             return SimpleString("OK")
         raise Exception(f"unknown command '{name}'")
 
@@ -428,18 +372,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=6379)
     parser.add_argument("--threads", type=int, default=None, help="graph module thread pool size")
-    parser.add_argument(
-        "--io-threads",
-        type=int,
-        default=None,
-        help="number of I/O event loops (like Redis io-threads; default 1)",
-    )
-    parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=None,
-        help="intra-query morsel workers for read queries (default 1 = serial)",
-    )
     parser.add_argument(
         "--data-dir",
         default=None,
@@ -462,10 +394,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     config = GraphConfig()
     if args.threads is not None:
         config.thread_count = args.threads
-    if args.io_threads is not None:
-        config.io_threads = args.io_threads
-    if args.parallel_workers is not None:
-        config.parallel_workers = args.parallel_workers
     if args.wal_fsync is not None:
         config.wal_fsync = args.wal_fsync
     if args.auto_snapshot_ops is not None:
@@ -478,7 +406,7 @@ def main(argv: Optional[List[str]] = None) -> None:
         )
     print(
         f"repro server listening on {server.host}:{server.port} "
-        f"(pool={server.pool.size}, io-threads={len(server.loops)})"
+        f"(pool={server.pool.size})"
     )
     try:
         server.serve_forever()

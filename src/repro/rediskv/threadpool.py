@@ -1,47 +1,25 @@
 """The module thread pool (paper §II).
 
 A fixed number of workers consume a shared queue.  Each submitted job —
-one graph query, or one morsel of a parallel query — runs entirely on
-one worker.  ``Job`` is a small future: it propagates exceptions (with
-the worker-side traceback attached), supports ``cancel()`` while still
-queued, and the pool itself supports bounded-queue backpressure plus a
-drain-on-shutdown so stopping the server never orphans in-flight work.
+one graph query — runs entirely on one worker.  ``Job`` is a small
+future: ``result()`` waits for the job and re-raises its exception, and
+an optional callback runs on the worker once the job finished.  Shutdown
+drains the queue, so stopping the server never orphans queued work.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import traceback
 from typing import Any, Callable, Optional
 
-__all__ = ["ThreadPool", "Job", "JobCancelledError"]
-
-# Job lifecycle states.
-_PENDING = "pending"
-_RUNNING = "running"
-_DONE = "done"
-_CANCELLED = "cancelled"
-
-
-class JobCancelledError(RuntimeError):
-    """Raised by ``Job.result()`` when the job was cancelled before running."""
+__all__ = ["ThreadPool", "Job"]
 
 
 class Job:
-    """A submitted unit of work; a future with cancel and traceback."""
+    """A submitted unit of work; a future with an optional callback."""
 
-    __slots__ = (
-        "fn",
-        "args",
-        "callback",
-        "_event",
-        "_result",
-        "_error",
-        "_traceback",
-        "_state",
-        "_lock",
-    )
+    __slots__ = ("fn", "args", "callback", "_event", "_result", "_error")
 
     def __init__(self, fn: Callable, args: tuple, callback: Optional[Callable[["Job"], None]]) -> None:
         self.fn = fn
@@ -50,46 +28,15 @@ class Job:
         self._event = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
-        self._traceback: Optional[str] = None
-        self._state = _PENDING
-        self._lock = threading.Lock()
 
     def run(self) -> None:
-        with self._lock:
-            if self._state != _PENDING:  # cancelled while queued
-                return
-            self._state = _RUNNING
         try:
             self._result = self.fn(*self.args)
         except BaseException as exc:  # noqa: BLE001 - errors travel to the caller
             self._error = exc
-            self._traceback = traceback.format_exc()
-        with self._lock:
-            self._state = _DONE
         self._event.set()
         if self.callback is not None:
             self.callback(self)
-
-    def cancel(self) -> bool:
-        """Cancel the job if it has not started; returns True on success.
-
-        A cancelled job's ``result()`` raises :class:`JobCancelledError`.
-        Jobs already running (or finished) cannot be cancelled.
-        """
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _CANCELLED
-        self._event.set()
-        return True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    @property
-    def running(self) -> bool:
-        return self._state == _RUNNING
 
     @property
     def done(self) -> bool:
@@ -98,27 +45,17 @@ class Job:
     def result(self, timeout: Optional[float] = None) -> Any:
         if not self._event.wait(timeout):
             raise TimeoutError("job did not complete in time")
-        if self._state == _CANCELLED:
-            raise JobCancelledError("job was cancelled before it ran")
         if self._error is not None:
             raise self._error
         return self._result
 
-    def error(self) -> Optional[BaseException]:
-        return self._error
-
-    def error_traceback(self) -> Optional[str]:
-        """The worker-side formatted traceback, if the job raised."""
-        return self._traceback
-
 
 class ThreadPool:
-    def __init__(self, threads: int, name: str = "graph-worker", max_queue: int = 0) -> None:
+    def __init__(self, threads: int, name: str = "graph-worker") -> None:
         if threads < 1:
             raise ValueError("thread pool needs at least one thread")
         self.size = threads
-        self._name = name
-        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(maxsize=max_queue)
+        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._workers = [
             threading.Thread(target=self._worker, name=f"{name}-{i}", daemon=True)
             for i in range(threads)
@@ -136,60 +73,19 @@ class ThreadPool:
             job.run()
 
     def submit(self, fn: Callable, *args: Any, callback: Optional[Callable[[Job], None]] = None) -> Job:
-        """Queue a job.  Blocks when the queue is bounded and full."""
+        """Queue a job; it runs on the first free worker."""
         if self._shutdown:
             raise RuntimeError("thread pool is shut down")
         job = Job(fn, args, callback)
         self._queue.put(job)
         return job
 
-    def try_submit(self, fn: Callable, *args: Any) -> Optional[Job]:
-        """Queue a job without blocking; None when the bounded queue is full."""
-        if self._shutdown:
-            raise RuntimeError("thread pool is shut down")
-        job = Job(fn, args, None)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            return None
-        return job
-
-    def grow(self, threads: int) -> None:
-        """Ensure the pool has at least ``threads`` workers."""
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError("thread pool is shut down")
-            while self.size < threads:
-                w = threading.Thread(
-                    target=self._worker, name=f"{self._name}-{self.size}", daemon=True
-                )
-                self._workers.append(w)
-                self.size += 1
-                w.start()
-
-    @property
-    def pending(self) -> int:
-        return self._queue.qsize()
-
-    def shutdown(self, cancel_pending: bool = False, timeout: float = 5.0) -> None:
-        """Stop the pool.
-
-        In-flight jobs always finish.  Queued jobs drain normally unless
-        ``cancel_pending`` is set, in which case they are cancelled (their
-        waiters get :class:`JobCancelledError`) before workers exit.
-        """
+    def shutdown(self, timeout: float = 5.0) -> None:
+        """Stop the pool once every queued job has run."""
         with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
-        if cancel_pending:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if job is not None:
-                    job.cancel()
         for _ in self._workers:
             self._queue.put(None)
         for w in self._workers:

@@ -14,8 +14,6 @@ import types
 import pytest
 
 from repro import GraphDB
-from repro.execplan import executor as executor_module
-from repro.execplan.morsel import MorselDriver
 from repro.execplan.optimizer import _literal_count
 
 
@@ -142,39 +140,6 @@ class TestEstimateSurfacing:
         # growth crossed the epoch drift threshold: the cached plan was
         # re-priced, not reused with 5-node estimates
         assert "est_rows: 261" in skewed.explain("MATCH (a:Rare) RETURN a.i")
-
-
-class TestMorselGating:
-    def _spy(self, monkeypatch):
-        created = []
-
-        def factory(workers, morsel_size):
-            created.append((workers, morsel_size))
-            return MorselDriver(workers, morsel_size)
-
-        monkeypatch.setattr(executor_module, "MorselDriver", factory)
-        return created
-
-    def test_small_estimate_skips_the_driver(self, skewed, monkeypatch):
-        created = self._spy(monkeypatch)
-        skewed.graph.config.parallel_workers = 2
-        skewed.query("MATCH (a:Rare) RETURN a.i")  # est 5 << morsel_size
-        assert created == []
-
-    def test_large_estimate_keeps_the_driver(self, skewed, monkeypatch):
-        created = self._spy(monkeypatch)
-        skewed.graph.config.parallel_workers = 2
-        skewed.graph.config.morsel_size = 16
-        set_knob(skewed, 1)  # re-bump: config edits above bypassed CONFIG SET
-        skewed.query("MATCH (a:Common) RETURN a.i")  # est 120 >= 16
-        assert len(created) == 1
-
-    def test_rule_based_plans_always_get_the_driver(self, skewed, monkeypatch):
-        created = self._spy(monkeypatch)
-        set_knob(skewed, 0)
-        skewed.graph.config.parallel_workers = 2
-        skewed.query("MATCH (a:Rare) RETURN a.i")  # no estimate -> old behavior
-        assert len(created) == 1
 
 
 class TestPlanCacheEpochs:

@@ -5,7 +5,8 @@ batch-of-one oracle), 7 (a prime that misaligns every internal chunk
 boundary) and the default — results must be identical, in order.  This is
 the differential hook the vectorized engine is built around: batch size
 may change how many rows move per Python-level step, never what comes
-out.  Read queries share one module graph; write queries (and the
+out.  The read battery also runs with the cost-based planner on and off.
+Read queries share one module graph; write queries (and the
 null-source regressions) each run on a fresh graph per batch size and
 also compare statistics and the final graph contents.
 """
@@ -123,6 +124,30 @@ def test_batch_size_invariance(db, query):
         finally:
             db.graph.config.exec_batch_size = 1024
     assert results[1] == results[7] == results[1024], query
+
+
+def _set_planner(db, value):
+    db.graph.config.cost_based_planner = value
+    db.graph.bump_schema_version()  # GRAPH.CONFIG SET does the same
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_planner_invariance(db, query):
+    """The same battery with ``cost_based_planner`` on and off: exact rows
+    under ORDER BY, the same multiset otherwise (anchor choice and join
+    order may legitimately change emission order)."""
+    before = db.graph.config.cost_based_planner
+    results = {}
+    for value in (1, 0):
+        _set_planner(db, value)
+        try:
+            results[value] = _normalize(db.query(query).rows)
+        finally:
+            _set_planner(db, before)
+    if "ORDER BY" in query:
+        assert results[1] == results[0], query
+    else:
+        assert sorted(map(repr, results[1])) == sorted(map(repr, results[0])), query
 
 
 def _profile_counts(report):
@@ -267,20 +292,20 @@ DISTINCT_QUERIES = [
 
 
 def _distinct_runs(d, query):
-    """Normalized rows at every batch size, then at 4 morsel workers."""
+    """Normalized rows at every batch size."""
     cfg = d.graph.config
     runs = []
-    for size, workers in [(s, 1) for s in BATCH_SIZES] + [(1024, 4), (7, 4)]:
-        cfg.exec_batch_size, cfg.parallel_workers, cfg.morsel_size = size, workers, 7
+    for size in BATCH_SIZES:
+        cfg.exec_batch_size = size
         try:
             runs.append(_normalize(d.query(query).rows))
         finally:
-            cfg.exec_batch_size, cfg.parallel_workers, cfg.morsel_size = 1024, 1, 2048
+            cfg.exec_batch_size = 1024
     return runs
 
 
 @pytest.mark.parametrize("query", DISTINCT_QUERIES)
-def test_count_distinct_batch_and_worker_invariance(distinct_db, query):
+def test_count_distinct_batch_invariance(distinct_db, query):
     runs = _distinct_runs(distinct_db, query)
     assert all(run == runs[0] for run in runs), query
 

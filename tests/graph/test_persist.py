@@ -217,21 +217,43 @@ class TestV2Format:
         with pytest.raises(GraphError, match=f"unsupported graph file version: {version}"):
             load_graph(evil)
 
-    def test_retired_config_field_ignored(self):
-        """Snapshots written before ``traverse_batch_size`` was retired
-        carry it in their config; they still load."""
-        db = GraphDB("g", GraphConfig(exec_batch_size=7))
+    @staticmethod
+    def _saved_with_config(db: GraphDB, **retired) -> io.BytesIO:
+        """``db`` saved as a v2 file whose meta config also carries
+        ``retired`` fields, as an older build would have written it."""
         buf = io.BytesIO()
         db.save(buf)
         buf.seek(0)
         data = dict(np.load(buf))
         meta = json.loads(bytes(data["meta"]).decode())
-        meta["config"]["traverse_batch_size"] = 7
+        meta["config"].update(retired)
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         old = io.BytesIO()
         np.savez(old, **data)
         old.seek(0)
+        return old
+
+    def test_retired_config_field_ignored(self):
+        """Snapshots written before ``traverse_batch_size`` was retired
+        carry it in their config; they still load."""
+        db = GraphDB("g", GraphConfig(exec_batch_size=7))
+        old = self._saved_with_config(db, traverse_batch_size=7)
         assert load_graph(old).config.exec_batch_size == 7
+
+    def test_retired_parallelism_fields_ignored(self):
+        """Snapshots written while intra-query parallelism existed carry
+        ``parallel_workers``, ``morsel_size`` and ``io_threads``; they
+        still load, with every node, edge and index."""
+        db = GraphDB("g", GraphConfig(exec_batch_size=7))
+        db.query("UNWIND range(0, 9) AS i CREATE (:P {v: i})")
+        db.query("MATCH (a:P), (b:P) WHERE b.v = a.v + 1 CREATE (a)-[:NEXT]->(b)")
+        db.query("CREATE INDEX ON :P(v)")
+        old = self._saved_with_config(db, parallel_workers=4, morsel_size=64, io_threads=2)
+        loaded = GraphDB.load(old)
+        assert loaded.graph.config.exec_batch_size == 7
+        q = "MATCH (a:P {v: 3})-[:NEXT*1..3]->(b) RETURN b.v ORDER BY b.v"
+        assert loaded.query(q).rows == db.query(q).rows == [(4,), (5,), (6,)]
+        assert "NodeByIndexScan" in loaded.explain("MATCH (a:P {v: 3}) RETURN a")
 
     def test_none_valued_index_entries_not_indexed(self):
         """Cypher null matches no predicate, so None is never indexed —

@@ -18,12 +18,7 @@ from repro.rediskv.server import RedisLikeServer
 
 @pytest.fixture(scope="module")
 def server():
-    cfg = GraphConfig(
-        thread_count=4,
-        parallel_workers=2,
-        morsel_size=64,
-        node_capacity=4096,
-    )
+    cfg = GraphConfig(thread_count=4, node_capacity=4096)
     srv = RedisLikeServer(port=0, config=cfg).start()
     time.sleep(0.05)
     yield srv

@@ -1,11 +1,11 @@
-"""Differential net for CALL: batch-size and worker-count invariance.
+"""Differential net for CALL: batch-size and planner invariance.
 
 Every registered procedure runs through the full pipeline at
 ``exec_batch_size`` 1 (row-at-a-time bridge), 7 (misaligns every chunk
-boundary) and 1024, and under ``parallel_workers`` 1 and 4 — results
-must be identical, in order.  The ProcedureCall op chunks its columnar
-YIELD output at the context batch size; none of that may change what
-comes out.
+boundary) and 1024, and with ``cost_based_planner`` on and off —
+results must be identical, in order.  The ProcedureCall op chunks its
+columnar YIELD output at the context batch size; none of that may
+change what comes out.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.execplan.ops_stream import _hashable
 from repro.graph.config import GraphConfig
 
 BATCH_SIZES = (1, 7, 1024)
-WORKER_COUNTS = (1, 4)
 
 
 def _normalize(rows):
@@ -25,7 +24,7 @@ def _normalize(rows):
 @pytest.fixture(scope="module")
 def db():
     d = GraphDB("diff-call", GraphConfig(node_capacity=512))
-    # hub-and-spoke plus a chain and a triangle: enough rows that morsels
+    # hub-and-spoke plus a chain and a triangle: enough rows that batches
     # split, components differ, and k-core/k-truss are non-trivial
     d.query(
         "UNWIND range(0, 39) AS i "
@@ -95,14 +94,22 @@ def test_batch_size_invariance(db, query):
     assert results[1] == results[7] == results[1024], query
 
 
+
+def _set_planner(db, value):
+    db.graph.config.cost_based_planner = value
+    db.graph.bump_schema_version()  # GRAPH.CONFIG SET does the same
+
+
 @pytest.mark.parametrize("query", QUERIES)
-def test_worker_count_invariance(db, query):
-    cfg = db.graph.config
+def test_planner_invariance(db, query):
+    """The cost-based and the rule-based planner place ProcedureCall
+    differently relative to the surrounding MATCH; rows must not move."""
+    before = db.graph.config.cost_based_planner
     results = {}
-    for workers in WORKER_COUNTS:
-        cfg.parallel_workers, cfg.morsel_size = workers, 8
+    for value in (1, 0):
+        _set_planner(db, value)
         try:
-            results[workers] = _normalize(db.query(query).rows)
+            results[value] = _normalize(db.query(query).rows)
         finally:
-            cfg.parallel_workers, cfg.morsel_size = 1, 2048
-    assert results[1] == results[4], query
+            _set_planner(db, before)
+    assert results[1] == results[0], query

@@ -11,6 +11,7 @@ mid-workload), pure log replay (no snapshot), torn-tail crashes
 (truncating the log mid-record) and dirty-counter auto-snapshots.
 """
 
+import json
 import random
 import time
 
@@ -152,6 +153,42 @@ class TestKillAndRestart:
             assert c.graph_config_get("AUTO_SNAPSHOT_OPS") == ["AUTO_SNAPSHOT_OPS", 500]
         # the recovered policy reached the live log, not just the config
         assert srv2.durability.wal.fsync == "always"
+        srv2.stop()
+
+
+class TestRetiredKnobs:
+    """A data dir written while ``PARALLEL_WORKERS`` and ``MORSEL_SIZE``
+    were settable knobs: both sit in the manifest's config and in WAL
+    ``config`` records.  Recovery skips them and restores every graph."""
+
+    def test_stale_config_records_recover(self, tmp_path):
+        srv = start_server(tmp_path)
+        with RedisClient(port=srv.port) as c:
+            run_workload(c, save_midway=True)
+            c.graph_config_set("AUTO_SNAPSHOT_OPS", "500")
+            # what GRAPH.CONFIG SET of the retired knobs used to log
+            srv.durability.log_config("PARALLEL_WORKERS", 4)
+            srv.durability.log_config("MORSEL_SIZE", 64)
+            c.graph_query("g", "CREATE (:A {name: 'after', v: 4})")
+            c.graph_query("other", "UNWIND range(1, 5) AS i CREATE (:K {v: i})")
+            expected = snapshot_answers(c)
+        srv.stop()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["PARALLEL_WORKERS"] == 4
+        assert manifest["config"]["MORSEL_SIZE"] == 64
+
+        srv2 = start_server(tmp_path)
+        assert srv2.recovery_stats["snapshots"] == 1
+        with RedisClient(port=srv2.port) as c2:
+            assert sorted(c2.graph_list()) == ["g", "other"]
+            assert_matches(c2, expected)
+            assert c2.graph_query("other", "MATCH (k:K) RETURN sum(k.v)").scalar() == 15
+            # the surviving knob around the stale ones still applied
+            assert c2.graph_config_get("AUTO_SNAPSHOT_OPS") == ["AUTO_SNAPSHOT_OPS", 500]
+            with pytest.raises(ResponseError, match="Unknown configuration"):
+                c2.graph_config_get("PARALLEL_WORKERS")
+            with pytest.raises(ResponseError, match="not settable"):
+                c2.graph_config_set("PARALLEL_WORKERS", "4")
         srv2.stop()
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import WrongTypeError
 from repro.graph.rwlock import RWLock
 from repro.rediskv.keyspace import Keyspace
-from repro.rediskv.threadpool import JobCancelledError, ThreadPool
+from repro.rediskv.threadpool import ThreadPool
 
 
 class TestKeyspace:
@@ -78,7 +78,6 @@ class TestThreadPool:
             job = pool.submit(lambda: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 job.result(timeout=5)
-            assert isinstance(job.error(), ZeroDivisionError)
         finally:
             pool.shutdown()
 
@@ -108,6 +107,17 @@ class TestThreadPool:
         finally:
             pool.shutdown()
 
+    def test_shutdown_drains_queued_jobs(self):
+        pool = ThreadPool(1)
+        release = threading.Event()
+        done = []
+        blocker = pool.submit(release.wait, 5)
+        queued = pool.submit(lambda: done.append(1))
+        release.set()
+        pool.shutdown()
+        assert blocker.done and queued.done
+        assert done == [1]
+
     def test_submit_after_shutdown(self):
         pool = ThreadPool(1)
         pool.shutdown()
@@ -117,6 +127,81 @@ class TestThreadPool:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             ThreadPool(0)
+
+    def test_size_reports_thread_count(self):
+        pool = ThreadPool(3)
+        try:
+            assert pool.size == 3
+        finally:
+            pool.shutdown()
+
+    def test_single_worker_runs_jobs_in_submission_order(self):
+        pool = ThreadPool(1)
+        order = []
+        try:
+            jobs = [pool.submit(order.append, i) for i in range(20)]
+            for j in jobs:
+                j.result(timeout=5)
+            assert order == list(range(20))
+        finally:
+            pool.shutdown()
+
+    def test_callback_runs_on_worker_after_completion(self):
+        """The server's reply path relies on this: the callback sees a
+        finished job and runs on the pool thread, not the submitter."""
+        pool = ThreadPool(1, name="cb-pool")
+        seen = []
+        fired = threading.Event()
+
+        def callback(job):
+            seen.append((job.done, job.result(), threading.current_thread().name))
+            fired.set()
+
+        try:
+            pool.submit(lambda: 7, callback=callback)
+            assert fired.wait(timeout=5)
+            assert seen == [(True, 7, "cb-pool-0")]
+        finally:
+            pool.shutdown()
+
+    def test_callback_fires_for_failed_job(self):
+        pool = ThreadPool(1)
+        got = []
+        fired = threading.Event()
+
+        def callback(job):
+            got.append(job)
+            fired.set()
+
+        try:
+            job = pool.submit(lambda: 1 / 0, callback=callback)
+            assert fired.wait(timeout=5)
+            assert got == [job] and job.done
+            with pytest.raises(ZeroDivisionError):
+                job.result()
+        finally:
+            pool.shutdown()
+
+    def test_result_times_out_while_job_runs(self):
+        pool = ThreadPool(1)
+        release = threading.Event()
+        try:
+            job = pool.submit(lambda: release.wait(5) and "ok")
+            with pytest.raises(TimeoutError):
+                job.result(timeout=0.05)
+            assert not job.done
+            release.set()
+            assert job.result(timeout=5) == "ok"
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_shutdown_is_idempotent(self):
+        pool = ThreadPool(2)
+        job = pool.submit(lambda: 1)
+        pool.shutdown()
+        pool.shutdown()
+        assert job.result(timeout=0) == 1
 
     def test_get_or_create_graph_is_atomic(self):
         ks = Keyspace()
@@ -140,120 +225,6 @@ class TestThreadPool:
             t.join(timeout=5)
         assert len(made) == 1  # exactly one instance built
         assert all(g is got[0] for g in got)
-
-
-class TestThreadPoolFutures:
-    """The futures surface grown for morsel scheduling (ISSUE 6)."""
-
-    def test_cancel_queued_job(self):
-        pool = ThreadPool(1)
-        release = threading.Event()
-        try:
-            blocker = pool.submit(release.wait, 5)
-            victim = pool.submit(lambda: "never")
-            assert victim.cancel() is True
-            assert victim.cancelled
-            release.set()
-            blocker.result(timeout=5)
-            with pytest.raises(JobCancelledError):
-                victim.result(timeout=5)
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_cannot_cancel_finished_job(self):
-        pool = ThreadPool(1)
-        try:
-            job = pool.submit(lambda: 7)
-            assert job.result(timeout=5) == 7
-            assert job.cancel() is False
-        finally:
-            pool.shutdown()
-
-    def test_worker_traceback_travels(self):
-        pool = ThreadPool(1)
-
-        def deep():
-            raise KeyError("inner-marker")
-
-        try:
-            job = pool.submit(deep)
-            with pytest.raises(KeyError):
-                job.result(timeout=5)
-            tb = job.error_traceback()
-            assert "inner-marker" in tb and "deep" in tb
-        finally:
-            pool.shutdown()
-
-    def test_bounded_queue_try_submit(self):
-        pool = ThreadPool(1, max_queue=1)
-        release = threading.Event()
-        started = threading.Event()
-
-        def block():
-            started.set()
-            return release.wait(5)
-
-        try:
-            blocker = pool.submit(block)
-            assert started.wait(5)  # worker holds it; the queue slot is free
-            queued = pool.try_submit(lambda: "q")
-            assert queued is not None
-            overflow = pool.try_submit(lambda: "nope")
-            assert overflow is None  # queue full -> caller runs it inline
-            release.set()
-            assert blocker.result(timeout=5) is True
-            assert queued.result(timeout=5) == "q"
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_grow(self):
-        pool = ThreadPool(1, name="growable")
-        try:
-            pool.grow(3)
-            assert pool.size == 3
-            pool.grow(2)  # never shrinks
-            assert pool.size == 3
-            barrier = threading.Barrier(3, timeout=5)
-            jobs = [pool.submit(barrier.wait) for _ in range(3)]
-            for j in jobs:
-                j.result(timeout=5)  # needs all 3 workers live
-        finally:
-            pool.shutdown()
-
-    def test_shutdown_drains_queued_jobs(self):
-        pool = ThreadPool(1)
-        release = threading.Event()
-        done = []
-        blocker = pool.submit(release.wait, 5)
-        queued = pool.submit(lambda: done.append(1))
-        release.set()
-        pool.shutdown()  # default: drain
-        assert blocker.done and queued.done
-        assert done == [1]
-
-    def test_shutdown_cancel_pending(self):
-        pool = ThreadPool(1)
-        release = threading.Event()
-        started = threading.Event()
-        ran = []
-
-        def block():
-            started.set()
-            return release.wait(5)
-
-        blocker = pool.submit(block)
-        assert started.wait(5)  # blocker is in flight, not queued
-        queued = pool.submit(lambda: ran.append(1))
-        stopper = threading.Thread(target=lambda: pool.shutdown(cancel_pending=True))
-        stopper.start()
-        with pytest.raises(JobCancelledError):
-            queued.result(timeout=5)  # cancelled while the worker was busy
-        release.set()
-        stopper.join(timeout=5)
-        assert blocker.result(timeout=5) is True  # in-flight job finished
-        assert ran == []
 
 
 class TestRWLock:
