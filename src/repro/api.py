@@ -61,10 +61,12 @@ class GraphDB:
     def plan_cache_info(self) -> Dict[str, int]:
         """Plan-cache counters: capacity, entries, hits, misses.
 
-        Compilation runs once per distinct query text; repeated queries
-        (parameterized or not) reuse the cached plan until the graph's
-        schema version moves (new label/reltype, index create/drop,
-        config change).  See README "Plan cache"."""
+        Compilation runs once per distinct query text — once per shape
+        for texts whose inline literals are lifted into parameters;
+        repeated queries reuse the cached plan until the graph's schema
+        version moves (new label/reltype, index create/drop, config
+        change).  Each request counts one hit or one miss.  See README
+        "Plan cache"."""
         return self.engine.plan_cache.info()
 
     @staticmethod

@@ -8,7 +8,9 @@ The pipeline is split in two (RedisGraph's query-cache architecture):
   live in a thread-safe LRU :class:`~repro.execplan.plan_cache.PlanCache`
   keyed on the canonical text and invalidated when
   ``Graph.schema_version`` moves (new label/reltype, index created or
-  dropped, config change).
+  dropped, config change).  A text whose inline literals can be lifted
+  into parameters is compiled and cached once per *shape* instead
+  (:mod:`repro.cypher.autoparam`).
 * **bind + execute** — each run gets a fresh
   :class:`~repro.execplan.expressions.ExecContext` holding ALL per-run
   state (parameters, statistics, Argument seeds, PROFILE counters, and
@@ -28,7 +30,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import CypherSemanticError, GraphError
+from repro.cypher.autoparam import lift_literals
+from repro.errors import CypherSemanticError, GraphError, ReproError
 from repro.execplan.compiled import CompiledQuery, PlanSchema, compile_query
 from repro.execplan.expressions import ExecContext
 from repro.execplan.plan_cache import PlanCache
@@ -54,23 +57,51 @@ class QueryEngine:
         (cache-oblivious; see :meth:`get_plan` for the cached path)."""
         return compile_query(text, PlanSchema.snapshot(self.graph))
 
-    def get_plan(self, text: str) -> Tuple[CompiledQuery, bool]:
-        """The compiled plan for ``text`` plus whether it came from the
-        cache.  One compilation is shared by QUERY / RO_QUERY / EXPLAIN /
-        PROFILE and by every subsequent request with the same text."""
+    def get_plan(
+        self, text: str, params: Optional[Dict[str, Any]] = None, *, lift: bool = True
+    ) -> Tuple[CompiledQuery, bool, Optional[Dict[str, Any]]]:
+        """The compiled plan for ``text``, whether it came from the cache,
+        and the parameters to run it with.  One compilation is shared by
+        QUERY / RO_QUERY / EXPLAIN / PROFILE and by every later request
+        with the same text.
+
+        The exact text is looked up first.  On a miss, ``lift`` (and a
+        cache that can hold entries) tries :func:`lift_literals`: the
+        plan is then looked up, compiled and cached under the normalised
+        text, and the lifted values join ``params``.  A normalised text
+        that does not compile falls back to the exact text, so lifting
+        never rejects a query.  Each call counts one hit or one miss."""
         stats_epoch = (
             self.graph.stats.epoch if self.graph.config.cost_based_planner else None
         )
         from repro.procedures import registry as proc_registry
 
-        compiled = self.plan_cache.get(
-            text, self.graph.schema_version, stats_epoch, proc_registry.version
-        )
+        cache = self.plan_cache
+        freshness = (self.graph.schema_version, stats_epoch, proc_registry.version)
+        compiled = cache.get(text, *freshness)
         if compiled is not None:
-            return compiled, True
+            return compiled, True, params
+        lifted = lift_literals(text) if lift and cache.capacity > 0 else None
+        if lifted is None:
+            cache.count_miss()
+            return self._compile_and_cache(text), False, params
+        shape, literals = lifted
+        run_params = {**params, **literals} if params else literals
+        compiled = cache.get(shape, *freshness)
+        if compiled is not None:
+            return compiled, True, run_params
+        cache.count_miss()
+        try:
+            compiled = self.compile(shape)
+        except ReproError:  # the exact text decides every compile error
+            return self._compile_and_cache(text), False, params
+        cache.put(compiled)
+        return compiled, False, run_params
+
+    def _compile_and_cache(self, text: str) -> CompiledQuery:
         compiled = self.compile(text)
         self.plan_cache.put(compiled)
-        return compiled, False
+        return compiled
 
     def set_plan_cache_size(self, capacity: int) -> None:
         """Resize (0 = disable) THIS engine's plan cache — the
@@ -132,18 +163,18 @@ class QueryEngine:
         on_commit: Optional[Callable[[], None]] = None,
     ) -> QueryResult:
         """Execute a query and return its :class:`QueryResult`."""
-        compiled, hit = self.get_plan(text)
-        result = self.execute(compiled, params, cached=hit, on_commit=on_commit)
+        compiled, hit, run_params = self.get_plan(text, params)
+        result = self.execute(compiled, run_params, cached=hit, on_commit=on_commit)
         return QueryResult.wrap(result, compiled=compiled)
 
     def ro_query(self, text: str, params: Optional[Dict[str, Any]] = None) -> QueryResult:
         """Execute a query after asserting it is read-only (GRAPH.RO_QUERY)."""
-        compiled, hit = self.get_plan(text)
+        compiled, hit, run_params = self.get_plan(text, params)
         if compiled.writes:
             raise GraphError(
                 "graph.RO_QUERY is to be executed only on read-only queries"
             )
-        result = self.execute(compiled, params, cached=hit)
+        result = self.execute(compiled, run_params, cached=hit)
         return QueryResult.wrap(result, compiled=compiled)
 
     def _run(self, compiled: CompiledQuery, ctx: ExecContext, stats) -> ResultSet:
@@ -184,8 +215,9 @@ class QueryEngine:
 
         ``params`` are accepted (the ``CYPHER k=v`` prefix threads through
         here) and checked against the parameters the query references, so
-        an EXPLAIN fails fast on a binding the real run would reject."""
-        compiled, _ = self.get_plan(text)
+        an EXPLAIN fails fast on a binding the real run would reject.
+        Literals are not lifted: the plan shows the values as written."""
+        compiled, _, _ = self.get_plan(text, lift=False)
         if params:
             missing = sorted(compiled.param_names - set(params))
             if missing:
@@ -206,8 +238,9 @@ class QueryEngine:
         Metering lives in the run's ProfileRun, so profiling a cached
         plan neither mutates it nor races concurrent executions of the
         same artifact.  ``on_commit`` behaves as in :meth:`execute` — a
-        PROFILE of a write query is still a write."""
-        compiled, hit = self.get_plan(text)
+        PROFILE of a write query is still a write.  Like EXPLAIN, PROFILE
+        runs the exact text, literals inline."""
+        compiled, hit, _ = self.get_plan(text, lift=False)
         run = ProfileRun()
         result = self.execute(compiled, params, cached=hit, profile_run=run, on_commit=on_commit)
         report = compiled.explain(profile=run)

@@ -10,7 +10,8 @@ Keying and invalidation:
 * the key is the canonical query text (whitespace-trimmed, with any
   ``CYPHER k=v`` parameter prefix already stripped by the caller) —
   parameterized queries that differ only in ``$param`` *values* share one
-  entry,
+  entry, and so do literal variants once the engine has lifted their
+  literals into parameters,
 * each entry remembers the ``Graph.schema_version`` it was compiled at;
   a lookup that finds a stale entry drops it and reports a miss, so
   label/reltype/index/config changes invalidate lazily without a sweep.
@@ -63,7 +64,9 @@ class PlanCache:
         proc_version: Optional[int] = None,
     ) -> Optional[CompiledQuery]:
         """The cached plan for ``text`` if present *and* compiled at
-        ``schema_version``; stale entries are evicted on sight.
+        ``schema_version``; stale entries are evicted on sight.  A hit is
+        counted here; a miss is not, because one request may try two
+        keys — the caller counts it once with :meth:`count_miss`.
 
         ``stats_epoch`` (cost-based planning only) adds a second freshness
         axis: an entry priced at an older statistics epoch is stale even
@@ -80,7 +83,6 @@ class PlanCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             if (
                 entry.schema_version != schema_version
@@ -92,11 +94,14 @@ class PlanCache:
                 or (proc_version is not None and entry.proc_version != proc_version)
             ):
                 del self._entries[key]
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
+
+    def count_miss(self) -> None:
+        with self._lock:
+            self.misses += 1
 
     def put(self, compiled: CompiledQuery) -> None:
         if self._capacity <= 0:

@@ -844,7 +844,9 @@ class _Planner:
                 agg_items.append((slot, AggSpec(kind, arg_fn, expr.distinct)))
                 return A.Identifier(slot)
             if not has_aggregate(expr):
-                if isinstance(expr, A.Literal):
+                # a constant is no grouping key: `count(*) + $one` over no
+                # input is one row, not zero groups
+                if isinstance(expr, (A.Literal, A.Parameter)):
                     return expr
                 return A.Identifier(lift_group(expr))
             # rebuild containers around aggregate leaves

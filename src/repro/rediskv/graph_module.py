@@ -45,7 +45,13 @@ __all__ = ["GraphModule", "parse_cypher_params", "encode_value"]
 
 
 def parse_cypher_params(query: str) -> Tuple[str, Dict[str, Any]]:
-    """Split an optional ``CYPHER k=v ...`` prefix off a query string."""
+    """Split an optional ``CYPHER k=v ...`` prefix off a query string.
+
+    Values are numbers, ``true`` / ``false`` / ``null``, quoted or bare
+    strings, and lists and ``{key: value}`` maps of those, nested freely.
+    Only the prefix is scanned.  A quoted string, list or map left open
+    raises :class:`ResponseError` naming the parameter, instead of
+    swallowing the query into the value."""
     stripped = query.lstrip()
     if not stripped[:7].upper() == "CYPHER ":
         return query, {}
@@ -63,9 +69,10 @@ def parse_cypher_params(query: str) -> Tuple[str, Dict[str, Any]]:
         if not name or pos >= n or rest[pos] != "=":
             pos = start  # not a k=v pair: the query text starts here
             break
-        pos += 1
-        value, pos = _parse_param_value(rest, pos)
-        params[name] = value
+        try:
+            params[name], pos = _parse_param_value(rest, pos + 1)
+        except ValueError as exc:
+            raise ResponseError(f"ERR query parameter {name!r}: {exc}") from None
     return rest[pos:], params
 
 
@@ -82,19 +89,13 @@ def _parse_param_value(text: str, pos: int) -> Tuple[Any, int]:
                 continue
             buf.append(text[end])
             end += 1
+        if end >= n:
+            raise ValueError("unterminated string")
         return "".join(buf), end + 1
-    if text[pos : pos + 1] == "[":
-        items: List[Any] = []
-        pos += 1
-        while pos < n and text[pos] != "]":
-            if text[pos] in ", ":
-                pos += 1
-                continue
-            value, pos = _parse_param_value(text, pos)
-            items.append(value)
-        return items, pos + 1
+    if pos < n and text[pos] in "[{":
+        return _parse_param_container(text, pos)
     start = pos
-    while pos < n and not text[pos].isspace() and text[pos] not in ",]":
+    while pos < n and not text[pos].isspace() and text[pos] not in ",]}":
         pos += 1
     token = text[start:pos]
     low = token.lower()
@@ -112,6 +113,48 @@ def _parse_param_value(text: str, pos: int) -> Tuple[Any, int]:
         return float(token), pos
     except ValueError:
         return token, pos
+
+
+def _parse_param_container(text: str, pos: int) -> Tuple[Any, int]:
+    """A ``[...]`` list or ``{key: value, ...}`` map starting at ``pos``;
+    items are separated by commas and/or whitespace."""
+    n = len(text)
+    is_map = text[pos] == "{"
+    kind, closer = ("map", "}") if is_map else ("list", "]")
+    out: Any = {} if is_map else []
+    pos += 1
+    while True:
+        while pos < n and (text[pos].isspace() or text[pos] == ","):
+            pos += 1
+        if pos >= n:
+            raise ValueError(f"unterminated {kind}")
+        if text[pos] == closer:
+            return out, pos + 1
+        if is_map:
+            start = pos
+            if text[pos] in "'\"":
+                key, pos = _parse_param_value(text, pos)
+            else:
+                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                    pos += 1
+                key = text[start:pos]
+            while pos < n and text[pos].isspace():
+                pos += 1
+            if pos >= n:
+                raise ValueError(f"unterminated {kind}")
+            if pos == start or text[pos] != ":":
+                raise ValueError("map entries are key: value")
+            pos += 1
+            while pos < n and text[pos].isspace():
+                pos += 1
+        start = pos
+        value, pos = _parse_param_value(text, pos)
+        if pos == start:
+            raise ValueError(f"unterminated {kind}" if pos >= n else f"unexpected {text[pos]!r}")
+        if is_map:
+            out[key] = value
+        else:
+            out.append(value)
 
 
 def encode_value(value: Any) -> Any:
@@ -211,11 +254,13 @@ class GraphModule:
     def query(self, key: str, query_text: str) -> list:
         text, params = parse_cypher_params(query_text)
         db = self._graph(key)
-        compiled, cached = db.engine.get_plan(text)
+        compiled, cached, run_params = db.engine.get_plan(text, params)
         on_commit = None
         if compiled.writes and self.durability is not None:
+            # the log keeps the text as sent and the caller's parameters;
+            # replay lifts the literals again
             on_commit = self._log_hook(key, db, compiled, text, params)
-        result = db.engine.execute(compiled, params, cached=cached, on_commit=on_commit)
+        result = db.engine.execute(compiled, run_params, cached=cached, on_commit=on_commit)
         if on_commit is not None:
             self._maybe_auto_snapshot(key, db)
         return self._result_reply(result)
@@ -288,10 +333,10 @@ class GraphModule:
         db = self._graph(key, create=False)
         # one compile serves both the write-check and the execution (and
         # lands in the same plan cache GRAPH.QUERY / EXPLAIN / PROFILE use)
-        compiled, cached = db.engine.get_plan(text)
+        compiled, cached, run_params = db.engine.get_plan(text, params)
         if compiled.writes:
             raise ResponseError("ERR graph.RO_QUERY is to be executed only on read-only queries")
-        result = db.engine.execute(compiled, params, cached=cached)
+        result = db.engine.execute(compiled, run_params, cached=cached)
         return self._result_reply(result)
 
     def explain(self, key: str, query_text: str) -> List[str]:
@@ -303,7 +348,7 @@ class GraphModule:
         db = self._graph(key)
         on_commit = None
         if self.durability is not None:
-            compiled, _ = db.engine.get_plan(text)
+            compiled, _, _ = db.engine.get_plan(text, lift=False)
             if compiled.writes:
                 on_commit = self._log_hook(key, db, compiled, text, params)
         result = db.engine.profile(text, params, on_commit=on_commit)

@@ -89,6 +89,18 @@ class TestMixedExpressions:
         got = social.query("MATCH (n:Person) RETURN sum(n.age * 2)").scalar()
         assert got == 316
 
+    @pytest.mark.parametrize("one", ["1", "$one"])
+    def test_constant_beside_aggregate_on_empty_input(self, db, one):
+        """A parameter next to an aggregate is a constant like a literal,
+        not a grouping key: no input is one row, not zero groups."""
+        q = f"MATCH (n:Nope) RETURN count(*) + {one} AS c, sum(n.x) * {one} AS s"
+        assert db.query(q, {"one": 1}).rows == [(1, 0)]
+
+    @pytest.mark.parametrize("one", ["1", "$one"])
+    def test_constant_beside_aggregate_on_grouped_input(self, social, one):
+        q = f"MATCH (a:Person)-[:KNOWS]->(b) RETURN a.name AS a, count(b) + {one} AS c ORDER BY a"
+        assert social.query(q, {"one": 1}).rows == [("Ann", 3), ("Bo", 2), ("Cy", 2), ("Di", 2)]
+
 
 def db_count(db, q):
     return db.query(q).scalar()

@@ -134,7 +134,7 @@ class TestPlanShape:
         """A cached plan keeps running (stable sorted label scan) if the
         index disappears between planning and execution."""
         text = "MATCH (n:P) RETURN n.age ORDER BY n.age DESC LIMIT 4"
-        compiled, _ = db.engine.get_plan(text)
+        compiled, _, _ = db.engine.get_plan(text)
         expected = db.query(text).rows
         db.query("DROP INDEX ON :P(age)")
         result = db.engine.execute(compiled, None)

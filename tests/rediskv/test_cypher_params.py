@@ -71,6 +71,42 @@ class TestParsePrefix:
         text, _ = parse_cypher_params("CYPHER a=1 MATCH (n {k: 'CYPHER b=2'}) RETURN n")
         assert text == "MATCH (n {k: 'CYPHER b=2'}) RETURN n"
 
+    def test_map_values(self):
+        text, params = parse_cypher_params("CYPHER a={k: 1} RETURN $a")
+        assert (text, params) == ("RETURN $a", {"a": {"k": 1}})
+
+    def test_nested_maps_and_lists(self):
+        text, params = parse_cypher_params(
+            "CYPHER m={k: {j: [1, 'x y', {z: null}]}, 'q r': -2.5, e: {}} n=[{a: true}, []] RETURN $m"
+        )
+        assert text == "RETURN $m"
+        assert params == {
+            "m": {"k": {"j": [1, "x y", {"z": None}]}, "q r": -2.5, "e": {}},
+            "n": [{"a": True}, []],
+        }
+
+    def test_any_whitespace_separates_list_items(self):
+        _, params = parse_cypher_params("CYPHER xs=[1,\t2\n, 3] RETURN $xs")
+        assert params == {"xs": [1, 2, 3]}
+
+    @pytest.mark.parametrize(
+        "query,problem",
+        [
+            ("CYPHER a='x MATCH (n) RETURN n", "unterminated string"),
+            ('CYPHER a=1 b="x RETURN $a', "unterminated string"),
+            ("CYPHER a=[1, 2 RETURN 1", "unterminated list"),
+            ("CYPHER a=[1, 'x] RETURN 1", "unterminated string"),
+            ("CYPHER a={k: 1", "unterminated map"),
+            ("CYPHER a={k:", "unterminated map"),
+            ("CYPHER a={k 1} RETURN 1", "map entries are key: value"),
+            ("CYPHER a=[}] RETURN 1", "unexpected '}'"),
+        ],
+    )
+    def test_unterminated_values_name_the_parameter(self, query, problem):
+        name = "b" if "b=" in query else "a"
+        with pytest.raises(ResponseError, match=f"query parameter '{name}': {problem}"):
+            parse_cypher_params(query)
+
 
 @pytest.fixture
 def module():
@@ -102,6 +138,15 @@ class TestModuleWiring:
         module.query("g", "CREATE (:X)")
         with pytest.raises(ResponseError, match="read-only"):
             module.ro_query("g", "CREATE (:Y)")
+
+    def test_map_param_round_trip(self, module):
+        reply = module.query("g", "CYPHER a={k: 1, s: 'x'} RETURN $a AS a, $a.k AS k")
+        assert reply[:2] == [["a", "k"], [[[["k", 1], ["s", "x"]], 1]]]
+
+    def test_unterminated_param_is_an_error_reply(self, module):
+        with pytest.raises(ResponseError, match="query parameter 'a'"):
+            module.query("g", "CYPHER a='oops CREATE (:Nope)")
+        assert module.keyspace.get_graph("g") is None  # nothing ran
 
     def test_explain_threads_params(self, module):
         module.query("g", "CREATE (:X {v: 1})")

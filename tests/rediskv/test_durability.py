@@ -347,6 +347,33 @@ class TestSurface:
             assert c.graph_query("g", "MATCH (n:P) RETURN n.v").scalar() == 1
         srv2.stop()
 
+    def test_literal_writes_log_the_text_as_sent(self, tmp_path):
+        """A write whose literals were lifted into parameters logs the
+        text as sent and only the caller's parameters; replay lifts the
+        literals again and rebuilds the same graph."""
+        writes = [
+            ("CREATE (:P {v: 1, s: 'it\\'s', f: 2.5})", {}),
+            ("CREATE (:P {v: 2, k: $k})", {"k": 7}),
+            ("MATCH (n:P) WHERE n.v = 1 SET n.w = 'one'", {}),
+            ("MATCH (n:P) WHERE n.v = 2 SET n.w = 'two'", {}),
+        ]
+        read = "MATCH (n:P) RETURN n.v, n.s, n.f, n.k, n.w ORDER BY n.v"
+        srv = start_server(tmp_path)
+        with RedisClient(port=srv.port) as c:
+            for text, params in writes:
+                c.graph_query("g", text, params)
+            expected = c.graph_query("g", read).rows
+        assert expected == [(1, "it's", "2.5", None, "one"), (2, None, None, 7, "two")]
+        srv.stop()
+        records = [r for _, r in srv.durability.wal.replay() if r["kind"] == "query"]
+        assert records == [
+            {"kind": "query", "key": "g", "text": text, "params": params} for text, params in writes
+        ]
+        srv2 = start_server(tmp_path)
+        with RedisClient(port=srv2.port) as c:
+            assert c.graph_query("g", read).rows == expected
+        srv2.stop()
+
     def test_ro_query_not_logged(self, tmp_path):
         srv = start_server(tmp_path)
         with RedisClient(port=srv.port) as c:
