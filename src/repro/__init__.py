@@ -13,10 +13,11 @@ The package implements, from scratch and in pure Python/NumPy:
   plan whose traversals are algebraic (matrix-product) expressions.
 * :mod:`repro.rediskv` — a Redis-like single-threaded server with a module
   thread pool and the ``GRAPH.*`` command family, plus a RESP client.
-* :mod:`repro.datasets` — Graph500/RMAT, Twitter-like, and LDBC-lite
-  generators.
-* :mod:`repro.bench` — the TigerGraph k-hop benchmark harness reproducing
-  the paper's figure and tables.
+* :mod:`repro.datasets` — Graph500/RMAT and LDBC-lite generators, CSV
+  import.
+
+The paper's k-hop benchmark runs end to end against the server from
+``benchmarks/ledger`` (outside the package).
 
 Quickstart (embedded, no server)::
 

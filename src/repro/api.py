@@ -122,7 +122,6 @@ class GraphDB:
                 spec["dst"],
                 properties=spec.get("properties"),
                 endpoints=spec.get("endpoints", "batch"),
-                record=spec.get("record", True),
             )
         return writer.commit()
 

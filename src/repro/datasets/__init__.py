@@ -1,30 +1,20 @@
-"""repro.datasets — benchmark workload generators.
+"""repro.datasets — workload generators and importers.
 
 * :func:`graph500_edges` — the Graph500 Kronecker (R-MAT) generator used by
   the paper's benchmark (A=0.57, B=0.19, C=0.19, D=0.05, edge factor 16),
-  scaled down by default per DESIGN.md's substitution table.
-* :func:`twitter_edges` — a Chung-Lu style power-law follower graph
-  standing in for the 41.6 M-vertex Twitter dataset (same heavy-tailed
-  degree shape at laptop scale).
+  scaled down by default.
 * :func:`ldbc_lite` — a miniature LDBC-like social network with labeled,
-  propertied entities for the examples and extension benchmarks.
-* :mod:`repro.datasets.loader` — bulk loading into matrices / graphs.
+  propertied entities for the examples.
 * :mod:`repro.datasets.csv_import` — CSV node/edge file import through
   the columnar BulkWriter (the RedisGraph bulk-loader format).
 """
 
 from repro.datasets.rmat import graph500_edges
-from repro.datasets.twitter import twitter_edges
 from repro.datasets.ldbc_lite import ldbc_lite
-from repro.datasets.loader import build_graph, build_graphdb, edges_to_matrix
 from repro.datasets.csv_import import import_csv
 
 __all__ = [
     "graph500_edges",
-    "twitter_edges",
     "ldbc_lite",
-    "build_graph",
-    "build_graphdb",
-    "edges_to_matrix",
     "import_csv",
 ]

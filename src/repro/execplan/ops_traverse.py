@@ -21,7 +21,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.khop import khop_frontiers
-from repro.errors import GraphError
 from repro.execplan.algebraic import AlgebraicExpression, frontier_matrix
 from repro.execplan.batch import EntityColumn, RecordBatch, as_entity_ids
 from repro.execplan.expressions import ExecContext
@@ -58,7 +57,7 @@ def _bound_rows(batch: RecordBatch, *slots: int) -> Tuple[RecordBatch, List[np.n
 
 def _edge_candidates(graph, src: int, dst: int, types: Tuple[str, ...], direction: str) -> List[Tuple[int, bool]]:
     """Edge ids realizing one (src, dst) hop; bool marks a reversed match
-    (for undirected patterns).  Requires materialized edges."""
+    (for undirected patterns).  Every matrix entry owns at least one."""
     out: List[Tuple[int, bool]] = []
     type_list = list(types) if types else [None]
     for t in type_list:
@@ -139,25 +138,12 @@ class ConditionalTraverse(PlanOp):
             )
         # edge variable: fan each (src, dst) hop out into its edge records,
         # in the same (record, dst, edge) order the row engine emitted
-        # (matrix probed once per batch: nvals on the flush-free overlay
-        # view never rewrites matrix state)
-        matrix_nonempty = bool(
-            graph.relation_matrix(self._types[0] if self._types else None).nvals
-        )
         out_idx: List[int] = []
         out_dst: List[int] = []
         out_eid: List[int] = []
         for r, dst in zip(rec_idx.tolist(), dst_ids.tolist()):
             src = int(src_ids[r])
-            candidates = _edge_candidates(graph, src, dst, self._types, self._direction)
-            if not candidates and matrix_nonempty:
-                # connected per the matrix but no edge records: the graph
-                # was bulk-loaded without materialized edges
-                raise GraphError(
-                    "edge variables require materialized edges; this graph was bulk-loaded "
-                    "(re-load with per-edge creation to bind edge variables)"
-                )
-            for eid, _reversed in candidates:
+            for eid, _reversed in _edge_candidates(graph, src, dst, self._types, self._direction):
                 out_idx.append(r)
                 out_dst.append(dst)
                 out_eid.append(eid)

@@ -21,10 +21,8 @@ atomic pass under the graph's write lock:
 Edge endpoints come in two flavors: ``endpoints="batch"`` (the default
 for ingestion) interprets src/dst as 0-based indices into the nodes
 staged by *this* writer, in staging order; ``endpoints="graph"`` means
-pre-existing node ids.  Recordless mode (``record=False``) installs
-matrix entries without materializing edge records — the benchmark
-dataset shim ``Graph.bulk_load_edges`` keeps its historical semantics
-through it.
+pre-existing node ids.  Every staged edge gets a record, so every
+relation-matrix entry owns at least one edge id.
 """
 
 from __future__ import annotations
@@ -98,23 +96,16 @@ class _NodeBatch:
 
 
 class _EdgeBatch:
-    __slots__ = ("reltype", "src", "dst", "props", "endpoints", "record")
+    __slots__ = ("reltype", "src", "dst", "props", "endpoints")
 
     def __init__(
-        self,
-        reltype: str,
-        src: np.ndarray,
-        dst: np.ndarray,
-        props: Dict[str, list],
-        endpoints: str,
-        record: bool,
+        self, reltype: str, src: np.ndarray, dst: np.ndarray, props: Dict[str, list], endpoints: str
     ) -> None:
         self.reltype = reltype
         self.src = src
         self.dst = dst
         self.props = props
         self.endpoints = endpoints
-        self.record = record
 
 
 def _as_id_array(seq: Sequence[int], what: str) -> np.ndarray:
@@ -240,15 +231,12 @@ class BulkWriter:
         *,
         properties: Optional[Mapping[str, Sequence[Any]]] = None,
         endpoints: str = "batch",
-        record: bool = True,
     ) -> int:
         """Stage a batch of same-type edges.
 
         ``endpoints="batch"`` reads src/dst as indices into this writer's
-        staged nodes; ``"graph"`` as existing node ids.  ``record=False``
-        installs matrix entries only (no edge records — the benchmark
-        dataset shim; such edges carry no properties and are invisible to
-        edge-record reads).  Returns the staged edge count so far."""
+        staged nodes; ``"graph"`` as existing node ids.  Returns the staged
+        edge count so far."""
         self._check_open()
         if endpoints not in ("batch", "graph"):
             raise GraphError(f"bulk edges: endpoints must be 'batch' or 'graph', got {endpoints!r}")
@@ -257,9 +245,7 @@ class BulkWriter:
         if src_arr.ndim != 1 or dst_arr.ndim != 1 or len(src_arr) != len(dst_arr):
             raise GraphError("bulk edges: src/dst must be equal-length 1-D sequences")
         props, _ = _as_columns(properties, len(src_arr), "edges")
-        if props and not record:
-            raise GraphError("bulk edges: recordless edges cannot carry properties")
-        self._edge_batches.append(_EdgeBatch(str(reltype), src_arr, dst_arr, props, endpoints, record))
+        self._edge_batches.append(_EdgeBatch(str(reltype), src_arr, dst_arr, props, endpoints))
         self._edge_total += len(src_arr)
         return self._edge_total
 
@@ -288,7 +274,6 @@ class BulkWriter:
                 "dst": eb.dst.tolist(),
                 "properties": eb.props,
                 "endpoints": eb.endpoints,
-                "record": eb.record,
             }
             for eb in self._edge_batches
         ]
@@ -323,9 +308,7 @@ class BulkWriter:
 
     def _validate(self, graph: Graph) -> None:
         """Endpoint checks, pre-mutation.  Batch indices must name staged
-        nodes; graph ids must name live nodes (recorded edges) or at
-        least allocated slots (recordless — the persistence loader
-        re-installs matrix entries whose endpoints may since have died)."""
+        nodes; graph ids must name live nodes."""
         alive: Optional[np.ndarray] = None
         for eb in self._edge_batches:
             if not len(eb.src):
@@ -343,15 +326,14 @@ class BulkWriter:
                     raise EntityNotFound(
                         f"bulk edges[{eb.reltype}]: endpoint node id {lo if lo < 0 else hi} out of range"
                     )
-                if eb.record:
-                    if alive is None:
-                        alive = graph._nodes.alive_mask()
-                    for arr in (eb.src, eb.dst):
-                        dead = arr[~alive[arr]]
-                        if len(dead):
-                            raise EntityNotFound(
-                                f"bulk edges[{eb.reltype}]: node {int(dead[0])} does not exist"
-                            )
+                if alive is None:
+                    alive = graph._nodes.alive_mask()
+                for arr in (eb.src, eb.dst):
+                    dead = arr[~alive[arr]]
+                    if len(dead):
+                        raise EntityNotFound(
+                            f"bulk edges[{eb.reltype}]: node {int(dead[0])} does not exist"
+                        )
 
     def _apply(self, graph: Graph) -> BulkReport:
         self._validate(graph)
@@ -391,8 +373,6 @@ class BulkWriter:
             else:
                 src, dst = eb.src, eb.dst
             by_rel.setdefault(rid, []).append((src, dst))
-            if not eb.record:
-                continue
             report.properties_set += sum(len(c) - c.count(None) for c in eb.props.values())
             aids = [graph.attrs.intern(name) for name in eb.props]
             src_list, dst_list = src.tolist(), dst.tolist()

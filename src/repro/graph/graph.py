@@ -466,43 +466,6 @@ class Graph:
             m.flush()
 
     # ------------------------------------------------------------------
-    # Bulk loading (benchmark datasets) — thin shims over the BulkWriter
-    # ------------------------------------------------------------------
-    def bulk_load_nodes(
-        self,
-        count: int,
-        label: Optional[str] = None,
-        properties: Optional[Dict[str, Sequence[Any]]] = None,
-    ) -> np.ndarray:
-        """Create ``count`` nodes in one columnar pass; returns their ids.
-
-        Routed through :class:`~repro.graph.bulk.BulkWriter`, so a new
-        label bumps the schema version (cached plans recompile) and
-        property columns backfill any existing exact-match index.  The
-        caller manages locking, as with every direct Graph mutator."""
-        from repro.graph.bulk import BulkWriter
-
-        writer = BulkWriter(self)
-        writer.add_nodes(count=count, labels=() if label is None else (label,), properties=properties)
-        return writer.commit(lock=False).node_ids
-
-    def bulk_load_edges(self, src: np.ndarray, dst: np.ndarray, reltype: str) -> int:
-        """Install an edge array directly into the relation matrix.
-
-        This is the dataset-loading fast path: no per-edge records are
-        materialized (matching how the benchmark graphs are queried —
-        traversals never bind these edges' properties).  Routed through
-        the BulkWriter so a new relationship type bumps the schema version
-        exactly like per-entity writes.  Returns the number of distinct
-        matrix entries added.
-        """
-        from repro.graph.bulk import BulkWriter
-
-        writer = BulkWriter(self)
-        writer.add_edges(reltype, src, dst, endpoints="graph", record=False)
-        return writer.commit(lock=False).matrix_entries_added
-
-    # ------------------------------------------------------------------
     # Indices
     # ------------------------------------------------------------------
     def _all_indexes(self):

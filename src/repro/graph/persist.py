@@ -35,7 +35,9 @@ arrays.  Invariants:
 * Edge records — parallel columns over live edge slots only:
   ``edge_slot`` (ascending), ``edge_src``, ``edge_dst``, ``edge_rel``.
   The multi-edge map and per-node incidence sets are *derived* state and
-  rebuild from these columns by vectorized grouping.
+  rebuild from these columns by vectorized grouping.  Every relation
+  matrix entry owns at least one record; a file whose entries outnumber
+  its distinct record keys gets one new record per uncovered entry.
 * Matrices — the merged CSR of every delta overlay, straight from the
   snapshot view: ``adj_indptr``/``adj_indices``, one
   ``rel{rid}_indptr``/``rel{rid}_indices`` pair per relationship type
@@ -324,13 +326,27 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
         node_records[slot] = _NodeRecord(labels, props if props is not None else {})
     graph._nodes = DataBlock.restore(node_records, node_free)
 
-    # edge records
+    # edge records; the multi-edge map is derived state, rebuilt by
+    # vectorized grouping instead of a dict op per edge
     edge_slots = int(meta["edge_slots"])
     edge_free = data["edge_free"].tolist()
     e_slot = data["edge_slot"]
     e_src = data["edge_src"]
     e_dst = data["edge_dst"]
     e_rel = data["edge_rel"]
+    edge_map = _group_edge_map(e_src, e_dst, e_rel, e_slot)
+    if len(edge_map) < sum(m.nvals() for m in graph._rel_matrices):
+        # some matrix entry has no edge record: give each one a record
+        o_src, o_dst, o_rel = _orphan_entries(graph, edge_map)
+        o_slot = np.arange(edge_slots, edge_slots + len(o_src), dtype=_I64)
+        edge_slots += len(o_src)
+        e_slot, e_src, e_dst, e_rel = (
+            np.concatenate(pair)
+            for pair in ((e_slot, o_slot), (e_src, o_src), (e_dst, o_dst), (e_rel, o_rel))
+        )
+        edge_map.update(
+            ((s, d, r), [e]) for s, d, r, e in zip(o_src.tolist(), o_dst.tolist(), o_rel.tolist(), o_slot.tolist())
+        )
     e_owner, e_aid, e_val = _decode_props(data, "eprop")
     edge_props = _props_by_owner(e_owner, e_aid, e_val, edge_slots)
     edge_records: List[Optional[_EdgeRecord]] = [None] * edge_slots
@@ -339,11 +355,9 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
         edge_records[slot] = _EdgeRecord(src, dst, rid, props if props is not None else {})
     graph._edges = DataBlock.restore(edge_records, edge_free)
 
-    # derived edge state: vectorized grouping, not a dict op per edge
-    eids = e_slot
-    graph._node_out = _group_sets(e_src, eids)
-    graph._node_in = _group_sets(e_dst, eids)
-    graph._edge_map = _group_edge_map(e_src, e_dst, e_rel, eids)
+    graph._node_out = _group_sets(e_src, e_slot)
+    graph._node_in = _group_sets(e_dst, e_slot)
+    graph._edge_map = edge_map
 
     # indices: rebuilt through the normal create paths, whose bulk
     # backfill reads the just-restored records — one sort per index, and
@@ -450,6 +464,41 @@ def _group_edge_map(
         start, end = bounds[i], bounds[i + 1]
         out[(ss_l[start], sd_l[start], sr_l[start])] = se_l[start:end]
     return out
+
+
+def _orphan_entries(
+    graph: Graph, edge_map: Dict[Tuple[int, int, int], List[int]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, rel) of every relation-matrix entry no edge record
+    covers.  Older builds could bulk-load such entries without records.
+    An entry touching a deleted node is that node's leftover: it leaves
+    the matrices instead of being returned."""
+    per_rel = np.bincount(
+        np.fromiter((rid for _, _, rid in edge_map), dtype=_I64, count=len(edge_map)),
+        minlength=len(graph._rel_matrices),
+    )
+    alive = graph._nodes.alive_mask()
+    src: List[np.ndarray] = []
+    dst: List[np.ndarray] = []
+    rel: List[np.ndarray] = []
+    for rid, dm in enumerate(graph._rel_matrices):
+        if dm.nvals() == per_rel[rid]:
+            continue
+        rows, cols, _ = dm.synced().to_coo()
+        orphan = np.fromiter(
+            ((s, d, rid) not in edge_map for s, d in zip(rows.tolist(), cols.tolist())),
+            dtype=np.bool_,
+            count=len(rows),
+        )
+        rows, cols = rows[orphan], cols[orphan]
+        live = alive[rows] & alive[cols]
+        for s, d in zip(rows[~live].tolist(), cols[~live].tolist()):
+            dm.delete(s, d)
+            graph._adj.delete(s, d)  # no record can join a deleted node
+        src.append(rows[live])
+        dst.append(cols[live])
+        rel.append(np.full(int(live.sum()), rid, dtype=_I64))
+    return np.concatenate(src), np.concatenate(dst), np.concatenate(rel)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,12 @@ builds on (SuiteSparse:GraphBLAS in the original system), in pure
 Python/NumPy with fully vectorized kernels:
 
 * typed sparse :class:`Matrix` (CSR) and :class:`Vector` (sorted COO),
-* an operator algebra of :class:`UnaryOp`, :class:`BinaryOp`,
-  :class:`Monoid` and :class:`Semiring` objects,
+* an operator algebra of :class:`BinaryOp`, :class:`Monoid` and
+  :class:`Semiring` objects,
 * masked, accumulated ``mxm`` / ``mxv`` / ``vxm`` where the multiplication
   kernel is an Expand-Sort-Compress SpGEMM,
 * element-wise union/intersection (``ewise_add`` / ``ewise_mult``),
-  ``extract``, ``assign``, ``apply``, ``select``, ``reduce``,
-  ``transpose`` and ``kronecker``,
-* Matrix-Market style text I/O.
+  ``select``, ``reduce`` and ``transpose``.
 
 Naming follows the GraphBLAS spec loosely (``mxm``, ``vxm``, descriptors,
 masks) so that algorithms written against SuiteSparse translate line by
@@ -34,7 +32,7 @@ from repro.grblas.types import (
     GrBType,
     lookup_type,
 )
-from repro.grblas.ops import BinaryOp, UnaryOp, binary, unary
+from repro.grblas.ops import BinaryOp, binary
 from repro.grblas.monoid import Monoid, monoid
 from repro.grblas.semiring import Semiring, semiring
 from repro.grblas.descriptor import Descriptor
@@ -42,7 +40,6 @@ from repro.grblas.mask import Mask
 from repro.grblas.matrix import Matrix
 from repro.grblas.vector import Vector
 from repro.grblas.scalar import Scalar
-from repro.grblas.io import mm_read, mm_write
 
 __all__ = [
     "BOOL",
@@ -58,9 +55,7 @@ __all__ = [
     "FP64",
     "GrBType",
     "lookup_type",
-    "UnaryOp",
     "BinaryOp",
-    "unary",
     "binary",
     "Monoid",
     "monoid",
@@ -71,6 +66,4 @@ __all__ = [
     "Matrix",
     "Vector",
     "Scalar",
-    "mm_read",
-    "mm_write",
 ]

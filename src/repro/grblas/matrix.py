@@ -29,7 +29,7 @@ from repro.grblas.types import BOOL, GrBType, lookup_type
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.grblas.descriptor import Descriptor
     from repro.grblas.monoid import Monoid
-    from repro.grblas.ops import BinaryOp, UnaryOp
+    from repro.grblas.ops import BinaryOp
     from repro.grblas.semiring import Semiring
     from repro.grblas.vector import Vector
 
@@ -338,16 +338,6 @@ class Matrix:
 
         return ewise.ewise_mult(self, other, op, mask=mask, accum=accum, desc=desc)
 
-    def apply(self, op: "UnaryOp", *, mask=None, accum=None, desc=None) -> "Matrix":
-        from repro.grblas import apply as _apply
-
-        return _apply.apply_matrix(self, op, mask=mask, accum=accum, desc=desc)
-
-    def apply_bind(self, op: "BinaryOp", scalar, *, right: bool = True) -> "Matrix":
-        from repro.grblas import apply as _apply
-
-        return _apply.apply_bind_matrix(self, op, scalar, right=right)
-
     def select(self, predicate, value=None) -> "Matrix":
         from repro.grblas import select as _select
 
@@ -368,26 +358,6 @@ class Matrix:
 
         return _reduce.reduce_matrix_scalar(self, mon)
 
-    def extract(self, rows, cols) -> "Matrix":
-        from repro.grblas import extract as _extract
-
-        return _extract.extract_submatrix(self, rows, cols)
-
-    def extract_row(self, i: int) -> "Vector":
-        from repro.grblas import extract as _extract
-
-        return _extract.extract_row(self, i)
-
-    def extract_col(self, j: int) -> "Vector":
-        from repro.grblas import extract as _extract
-
-        return _extract.extract_col(self, j)
-
-    def assign(self, other, rows, cols, *, accum=None) -> "Matrix":
-        from repro.grblas import assign as _assign
-
-        return _assign.assign_submatrix(self, other, rows, cols, accum=accum)
-
     def transpose(self) -> "Matrix":
         t_indptr, t_indices, t_values = K.csr_transpose(self.nrows, self.ncols, self.indptr, self.indices, self.values)
         return Matrix(self.ncols, self.nrows, self.dtype, indptr=t_indptr, indices=t_indices, values=t_values)
@@ -395,11 +365,6 @@ class Matrix:
     @property
     def T(self) -> "Matrix":
         return self.transpose()
-
-    def kronecker(self, other: "Matrix", op: "BinaryOp") -> "Matrix":
-        from repro.grblas import kron as _kron
-
-        return _kron.kronecker(self, other, op)
 
     def cast(self, dtype) -> "Matrix":
         """Return a copy re-typed into another domain."""

@@ -1,9 +1,9 @@
-"""Unary and binary operators of the GraphBLAS operator algebra.
+"""Binary operators of the GraphBLAS operator algebra.
 
 Every operator is a small object wrapping a *vectorized* callable over NumPy
-arrays.  Binary operators additionally remember the backing NumPy ufunc when
-one exists, because :meth:`numpy.ufunc.reduceat` is what makes segmented
-(monoid) reductions fast in the Expand-Sort-Compress SpGEMM kernel.
+arrays.  It remembers the backing NumPy ufunc when one exists, because
+:meth:`numpy.ufunc.reduceat` is what makes segmented (monoid) reductions
+fast in the Expand-Sort-Compress SpGEMM kernel.
 
 Operators whose result domain differs from the input domain (comparisons)
 declare ``result_type``; positional operators (``first``, ``second``,
@@ -22,22 +22,7 @@ import numpy as np
 from repro.errors import DomainMismatch
 from repro.grblas.types import BOOL, INT64, GrBType
 
-__all__ = ["UnaryOp", "BinaryOp", "unary", "binary"]
-
-
-@dataclass(frozen=True)
-class UnaryOp:
-    """A vectorized elementwise operator of one argument."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    result_type: Optional[GrBType] = field(default=None, compare=False)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
-
-    def __repr__(self) -> str:
-        return f"UnaryOp({self.name})"
+__all__ = ["BinaryOp", "binary"]
 
 
 @dataclass(frozen=True)
@@ -94,39 +79,7 @@ class _Namespace:
         return sorted(self._ops)
 
 
-unary = _Namespace("unary")
 binary = _Namespace("binary")
-
-
-# ---------------------------------------------------------------------------
-# Unary operators
-# ---------------------------------------------------------------------------
-
-def _safe_minv(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if np.issubdtype(x.dtype, np.integer):
-        # GraphBLAS defines integer MINV via integer division; avoid the
-        # divide-by-zero hardware trap by mapping 0 -> 0 (SuiteSparse extension).
-        out = np.zeros_like(x)
-        nz = x != 0
-        out[nz] = 1 // x[nz] if x.ndim == 0 else np.floor_divide(1, x[nz])
-        return out
-    with np.errstate(divide="ignore"):
-        return np.reciprocal(x.astype(np.float64) if x.dtype == np.bool_ else x)
-
-
-for _op in [
-    UnaryOp("identity", lambda x: np.asarray(x).copy()),
-    UnaryOp("ainv", lambda x: -np.asarray(x)),
-    UnaryOp("minv", _safe_minv),
-    UnaryOp("lnot", lambda x: ~np.asarray(x, dtype=bool), result_type=BOOL),
-    UnaryOp("abs", lambda x: np.abs(x)),
-    UnaryOp("one", lambda x: np.ones_like(np.asarray(x))),
-    UnaryOp("sqrt", lambda x: np.sqrt(np.asarray(x, dtype=np.float64))),
-    UnaryOp("exp", lambda x: np.exp(np.asarray(x, dtype=np.float64))),
-    UnaryOp("log", lambda x: np.log(np.asarray(x, dtype=np.float64))),
-]:
-    unary._register(_op)
 
 
 # ---------------------------------------------------------------------------

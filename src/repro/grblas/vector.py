@@ -17,7 +17,7 @@ from repro.grblas.types import BOOL, GrBType, lookup_type
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grblas.matrix import Matrix
     from repro.grblas.monoid import Monoid
-    from repro.grblas.ops import BinaryOp, UnaryOp
+    from repro.grblas.ops import BinaryOp
     from repro.grblas.semiring import Semiring
 
 __all__ = ["Vector"]
@@ -211,16 +211,6 @@ class Vector:
 
         return ewise.ewise_mult_vector(self, other, op, mask=mask, accum=accum, desc=desc)
 
-    def apply(self, op: "UnaryOp", *, mask=None, accum=None, desc=None) -> "Vector":
-        from repro.grblas import apply as _apply
-
-        return _apply.apply_vector(self, op, mask=mask, accum=accum, desc=desc)
-
-    def apply_bind(self, op: "BinaryOp", scalar, *, right: bool = True) -> "Vector":
-        from repro.grblas import apply as _apply
-
-        return _apply.apply_bind_vector(self, op, scalar, right=right)
-
     def select(self, predicate, value=None) -> "Vector":
         from repro.grblas import select as _select
 
@@ -230,16 +220,6 @@ class Vector:
         from repro.grblas import reduce as _reduce
 
         return _reduce.reduce_vector_scalar(self, mon)
-
-    def extract(self, indices) -> "Vector":
-        from repro.grblas import extract as _extract
-
-        return _extract.extract_subvector(self, indices)
-
-    def assign_scalar(self, value, indices=None) -> "Vector":
-        from repro.grblas import assign as _assign
-
-        return _assign.assign_vector_scalar(self, value, indices)
 
     def cast(self, dtype) -> "Vector":
         dtype = lookup_type(dtype)

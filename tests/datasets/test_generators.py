@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datasets import (
-    build_graph,
-    build_graphdb,
-    edges_to_matrix,
-    graph500_edges,
-    ldbc_lite,
-    twitter_edges,
-)
+from repro import GraphDB
+from repro.datasets import graph500_edges, ldbc_lite
 
 
 class TestGraph500:
@@ -40,7 +34,7 @@ class TestGraph500:
         src, dst, _ = graph500_edges(scale=8, seed=1)
         assert np.all(src != dst)
 
-    def test_kronecker_skew(self):
+    def test_rmat_degree_skew(self):
         """RMAT graphs have heavy-tailed degrees: the max out-degree far
         exceeds the mean (unlike an Erdos-Renyi graph)."""
         src, dst, n = graph500_edges(scale=12, seed=1)
@@ -53,60 +47,23 @@ class TestGraph500:
         with pytest.raises(ValueError):
             graph500_edges(scale=4, a=0.6, b=0.3, c=0.2)
 
-
-class TestTwitter:
-    def test_sizes_and_range(self):
-        src, dst, n = twitter_edges(n=2048, edge_factor=10, seed=2)
-        assert n == 2048
-        assert src.max() < n and dst.max() < n and src.min() >= 0
-
-    def test_deterministic(self):
-        a = twitter_edges(n=1024, seed=9)
-        b = twitter_edges(n=1024, seed=9)
-        assert np.array_equal(a[0], b[0])
-
-    def test_in_degree_heavier_than_out(self):
-        """alpha_in > alpha_out must skew in-degree harder (celebrity)."""
-        src, dst, n = twitter_edges(n=4096, edge_factor=20, seed=3)
-        in_deg = np.bincount(dst, minlength=n)
-        out_deg = np.bincount(src, minlength=n)
-        assert in_deg.max() > out_deg.max()
-
-    def test_no_self_loops(self):
-        src, dst, _ = twitter_edges(n=512, seed=1)
-        assert np.all(src != dst)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            twitter_edges(n=1)
-
-
-class TestLoader:
-    def test_edges_to_matrix(self):
-        src = np.array([0, 1, 0])
-        dst = np.array([1, 2, 1])  # duplicate (0,1)
-        A = edges_to_matrix(src, dst, 3)
-        assert A.nvals == 2 and A[0, 1] is not None
-
-    def test_build_graph(self):
+    def test_bulk_inserted_graph_queryable(self):
+        """Duplicate R-MAT edges become multi-edges; 1-hop reachability
+        from the hub still counts each neighbour once."""
         src, dst, n = graph500_edges(scale=6, seed=1)
-        g = build_graph(src, dst, n)
-        assert g.node_count == n
-        A = g.relation_matrix("E")
-        assert A.nvals == len(np.unique(src * n + dst))
-
-    def test_build_graphdb_queryable(self):
-        src, dst, n = graph500_edges(scale=6, seed=1)
-        db = build_graphdb(src, dst, n)
+        db = GraphDB("rmat")
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": n}],
+            edges=[{"type": "E", "src": src.tolist(), "dst": dst.tolist()}],
+        )
         assert db.query("MATCH (v:V) RETURN count(v)").scalar() == n
-        # 1-hop from the highest-degree node works through Cypher
+        assert db.graph.edge_count == len(src)
         hub = int(np.bincount(src, minlength=n).argmax())
         count = db.query(
             "MATCH (s:V)-[:E]->(t) WHERE id(s) = $s RETURN count(DISTINCT t)",
             {"s": hub},
         ).scalar()
-        expected = len(np.unique(dst[src == hub]))
-        assert count == expected
+        assert count == len(np.unique(dst[src == hub]))
 
 
 class TestLdbcLite:

@@ -72,10 +72,6 @@ class TestStaging:
         with pytest.raises(GraphError, match="endpoints"):
             BulkWriter(g).add_edges("R", [0], [0], endpoints="nope")
 
-    def test_recordless_edges_reject_properties(self, g):
-        with pytest.raises(GraphError, match="recordless"):
-            BulkWriter(g).add_edges("R", [0], [0], properties={"w": [1]}, record=False)
-
     def test_single_use_after_commit(self, g):
         w = BulkWriter(g)
         w.add_nodes(count=1)
@@ -176,31 +172,44 @@ class TestCommit:
         assert g.node_count == 2
 
 
-class TestBookkeepingRegressions:
-    """Satellite fix: the legacy bulk_load shims must run the same
-    bookkeeping as per-entity writes."""
+def load_nodes(g, count, label=(), properties=None):
+    """Commit one node batch; returns the allocated ids."""
+    w = BulkWriter(g)
+    w.add_nodes(count, labels=label, properties=properties)
+    return w.commit(lock=False).node_ids
 
-    def test_bulk_load_nodes_new_label_bumps_schema_version(self, g):
+
+def load_edges(g, src, dst, reltype):
+    """Commit one edge batch between existing nodes."""
+    w = BulkWriter(g)
+    w.add_edges(reltype, src, dst, endpoints="graph")
+    return w.commit(lock=False)
+
+
+class TestBookkeepingRegressions:
+    """Bulk commits run the same bookkeeping as per-entity writes."""
+
+    def test_new_label_bumps_schema_version(self, g):
         v = g.schema_version
-        g.bulk_load_nodes(4, label="Fresh")
+        load_nodes(g, 4, "Fresh")
         assert g.schema_version > v
         v = g.schema_version
-        g.bulk_load_nodes(4, label="Fresh")  # known label: data-only write
+        load_nodes(g, 4, "Fresh")  # known label: data-only write
         assert g.schema_version == v
 
-    def test_bulk_load_edges_new_reltype_bumps_schema_version(self, g):
-        g.bulk_load_nodes(4)
+    def test_new_reltype_bumps_schema_version(self, g):
+        load_nodes(g, 4)
         v = g.schema_version
-        g.bulk_load_edges(np.array([0]), np.array([1]), "NEWREL")
+        load_edges(g, [0], [1], "NEWREL")
         assert g.schema_version > v
 
-    def test_bulk_load_nodes_carries_properties(self, g):
-        ids = g.bulk_load_nodes(3, label="P", properties={"name": ["x", "y", "z"]})
+    def test_nodes_carry_properties(self, g):
+        ids = load_nodes(g, 3, "P", properties={"name": ["x", "y", "z"]})
         assert [g.node_property(int(i), "name") for i in ids] == ["x", "y", "z"]
 
-    def test_bulk_load_backfills_existing_index(self, g):
+    def test_writer_backfills_existing_index(self, g):
         idx = g.create_index("P", "name")
-        g.bulk_load_nodes(3, label="P", properties={"name": ["x", "y", "x"]})
+        load_nodes(g, 3, "P", properties={"name": ["x", "y", "x"]})
         assert len(idx) == 3
         assert idx.lookup("x") == {0, 2}
 
@@ -214,7 +223,7 @@ class TestBookkeepingRegressions:
 
     def test_unindexable_bulk_values_skipped(self, g):
         idx = g.create_index("P", "tags")
-        g.bulk_load_nodes(2, label="P", properties={"tags": [[1, 2], "ok"]})
+        load_nodes(g, 2, "P", properties={"tags": [[1, 2], "ok"]})
         assert len(idx) == 1
 
     def test_indexed_nodes_report_counts_real_insertions(self, g):
@@ -225,13 +234,41 @@ class TestBookkeepingRegressions:
         assert report.indexed_nodes == 1  # list unindexable, None absent
 
     def test_nvals_consistent_after_mixed_writes(self, g):
-        g.bulk_load_nodes(6, label="V")
+        load_nodes(g, 6, "V")
         g.create_edge(0, "R", 1)  # pending delta...
-        g.bulk_load_edges(np.array([1, 2]), np.array([2, 3]), "R")  # ...then splice
+        load_edges(g, [1, 2], [2, 3], "R")  # ...then splice
         dm = g._rel_matrices[g.schema.reltype_id("R")]
         assert dm.nvals() == 3
         assert g.relation_matrix("R").nvals == 3
         assert g.relation_matrix()[0, 1] is not None
+
+
+class TestEveryEdgeHasARecord:
+    """A bulk payload may still carry the retired ``"record": False`` key.
+    Its edges get records anyway, so edge variables bind them, DETACH
+    DELETE removes them and a node that recycles the slot inherits
+    nothing."""
+
+    @staticmethod
+    def db_with_record_key():
+        db = GraphDB("phantom", GraphConfig(node_capacity=16))
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": 3}],
+            edges=[{"type": "E", "src": [0, 1], "dst": [1, 2], "record": False}],
+        )
+        return db
+
+    def test_edge_variables_bind_every_edge(self):
+        db = self.db_with_record_key()
+        assert db.query("MATCH (a)-[r:E]->(b) RETURN count(r)").scalar() == 2
+
+    def test_no_phantom_after_slot_reuse(self):
+        db = self.db_with_record_key()
+        db.query("MATCH (n:V) WHERE id(n) = 1 DETACH DELETE n")
+        db.query("CREATE (:W {x: 1})")  # reuses slot 1
+        assert db.query("MATCH (w:W) RETURN id(w)").scalar() == 1
+        assert db.query("MATCH (a)-[:E]->(b) RETURN id(a), labels(a), id(b), labels(b)").rows == []
+        assert db.query("MATCH (a)-[r:E]->(b) RETURN count(r)").scalar() == 0
 
 
 class TestUnionSplice:

@@ -160,7 +160,7 @@ class TestFlushFreeReads:
 
     def test_reads_leave_dirty_state_untouched(self):
         m = self._dirty_matrix()
-        pending_before = m.pending
+        pending_before, generation_before = m.pending, m.generation
         view = m.overlay()
         assert m.nvals() == 2
         assert m.has(2, 3) and not m.has(0, 1)
@@ -173,6 +173,7 @@ class TestFlushFreeReads:
         assert set(zip(rows.tolist(), cols.tolist())) == {(1, 2), (2, 3)}
         assert m.dirty, "reads must not flush"
         assert m.pending == pending_before
+        assert m.generation == generation_before
 
     def test_overlay_matches_flushed_result(self):
         m = self._dirty_matrix()
@@ -268,6 +269,65 @@ class TestFlushFreeReads:
         assert [list(row) for row in result] == [[1, 2], [2, 3]]
         after = [(dm.dirty, dm.pending, dm.generation) for dm in matrices]
         assert after == before, "a read query must not flush or mutate any delta matrix"
+
+
+def _dirty_graph(flush: bool):
+    """A graph whose adjacency, relation and label matrices all hold pending
+    adds and pending deletes on top of a flushed base (or, with ``flush``,
+    the same graph synced)."""
+    from repro.api import GraphDB
+    from repro.graph import GraphConfig
+
+    db = GraphDB("shapes", GraphConfig(delta_max_pending=100_000))
+    db.query("UNWIND range(0, 7) AS i CREATE (:P {i: i})")
+    db.query("UNWIND range(8, 11) AS i CREATE (:Q {i: i})")
+    db.query("MATCH (a:P), (b:P) WHERE b.i = a.i + 1 CREATE (a)-[:E]->(b)")
+    db.query("MATCH (a:P), (b:Q) WHERE b.i = a.i + 8 CREATE (a)-[:F]->(b)")
+    db.graph.flush_all()
+    db.query("MATCH (a:P {i: 7}), (b:P {i: 0}) CREATE (a)-[:E]->(b)")  # closes the ring
+    db.query("MATCH (a:P {i: 2}), (b:P {i: 5}) CREATE (a)-[:E]->(b), (a)-[:F]->(b)")
+    db.query("MATCH (:P {i: 3})-[r:E]->(:P {i: 4}) DELETE r")
+    db.query("MATCH (n:Q {i: 9}) DETACH DELETE n")
+    db.query("CREATE (:Q {i: 12}), (:P {i: 20})")
+    if flush:
+        db.graph.flush_all()
+    return db
+
+
+FLUSH_FREE_READS = [
+    "MATCH (a:P)-[:E]->(b) RETURN id(a), id(b)",
+    "MATCH (a)<-[:E]-(b) RETURN id(a), id(b)",
+    "MATCH (a)-[:E]-(b) RETURN id(a), id(b)",
+    "MATCH (a)-[:E|F]->(b) RETURN id(a), id(b)",
+    "MATCH (a)-->(b) RETURN id(a), id(b)",
+    "MATCH (a)-[r:E]->(b) RETURN id(r), id(a), id(b)",
+    "MATCH (a)-[:E]->(b)-[:E]->(c) RETURN id(a), id(c)",
+    "MATCH (a)-[:E]->(b), (a)-[:F]->(b) RETURN id(a), id(b)",
+    "MATCH (a:P {i: 0})-[:E*1..3]->(b) RETURN id(b)",
+    "MATCH (a:P)-[:E*]->(b) RETURN id(a), count(DISTINCT b)",
+    "MATCH p = (a:P)-[:E*1..2]->(b) RETURN length(p), id(a), id(b)",
+    "MATCH (a:P) OPTIONAL MATCH (a)-[:F]->(b) RETURN id(a), id(b)",
+    "MATCH (n:Q) RETURN id(n), n.i",
+    "MATCH (n) RETURN count(n)",
+    "MATCH (s:P {i: 0}) CALL algo.bfs(s) YIELD node, level RETURN id(node), level",
+]
+
+
+class TestFlushFreeQueryShapes:
+    """Every read plan shape runs over the overlay: it leaves each delta
+    matrix's ``dirty``/``pending``/``generation`` as it found them and
+    answers what the same query answers on the flushed graph."""
+
+    @pytest.mark.parametrize("query", FLUSH_FREE_READS)
+    def test_read_leaves_deltas_and_matches_flushed(self, query):
+        db = _dirty_graph(flush=False)
+        g = db.graph
+        matrices = [g._adj] + g._rel_matrices + g._label_matrices
+        before = [(dm.dirty, dm.pending, dm.generation) for dm in matrices]
+        assert all(dirty for dirty, _, _ in before)
+        got = sorted(db.query(query).rows)
+        assert [(dm.dirty, dm.pending, dm.generation) for dm in matrices] == before
+        assert got == sorted(_dirty_graph(flush=True).query(query).rows)
 
 
 class TestPropertyFuzz:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConstraintViolation, EntityNotFound
-from repro.graph import Graph, GraphConfig
+from repro.graph import BulkWriter, Graph, GraphConfig
 
 
 @pytest.fixture
@@ -217,29 +217,41 @@ class TestIndices:
 
 
 class TestBulkLoad:
+    @staticmethod
+    def load(g, count=0, label=None, edges=None):
+        """One BulkWriter commit: ``count`` nodes, then ``edges`` as
+        (src, dst) id arrays of type E between existing nodes."""
+        w = BulkWriter(g)
+        if count:
+            w.add_nodes(count, labels=() if label is None else label)
+        if edges is not None:
+            w.add_edges("E", *edges, endpoints="graph")
+        return w.commit(lock=False)
+
     def test_bulk_nodes(self, g):
-        g.bulk_load_nodes(100, label="V")
+        self.load(g, 100, "V")
         assert g.node_count == 100
         assert len(g.nodes_with_label("V")) == 100
 
     def test_bulk_edges(self, g):
-        g.bulk_load_nodes(10, label="V")
+        self.load(g, 10, "V")
         src = np.array([0, 1, 2, 0])
         dst = np.array([1, 2, 3, 1])  # duplicate (0,1)
-        added = g.bulk_load_edges(src, dst, "E")
-        assert added == 3
+        report = self.load(g, edges=(src, dst))
+        assert report.matrix_entries_added == 3
+        assert report.relationships_created == g.edge_count == 4
         R = g.relation_matrix("E")
         assert R[0, 1] is not None and R[2, 3] is not None
         assert g.relation_matrix()[0, 1] is not None
 
     def test_bulk_edges_bad_endpoint(self, g):
-        g.bulk_load_nodes(2)
+        self.load(g, 2)
         with pytest.raises(EntityNotFound):
-            g.bulk_load_edges(np.array([0]), np.array([5]), "E")
+            self.load(g, edges=(np.array([0]), np.array([5])))
 
     def test_bulk_then_incremental(self, g):
-        g.bulk_load_nodes(5, label="V")
-        g.bulk_load_edges(np.array([0]), np.array([1]), "E")
+        self.load(g, 5, "V")
+        self.load(g, edges=(np.array([0]), np.array([1])))
         n = g.create_node(["V"])
         g.create_edge(n.id, "E", 0)
         R = g.relation_matrix("E")

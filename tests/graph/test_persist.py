@@ -73,10 +73,11 @@ class TestRoundTrip:
         assert db2.graph.config.exec_batch_size == 7
 
     def test_bulk_loaded_matrix_preserved(self):
-        """Bulk edges have no records; the matrix COO must still survive."""
         db = GraphDB("g", GraphConfig(node_capacity=64))
-        db.graph.bulk_load_nodes(10, label="V")
-        db.graph.bulk_load_edges(np.array([0, 1]), np.array([1, 2]), "E")
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": 10}],
+            edges=[{"type": "E", "src": [0, 1], "dst": [1, 2]}],
+        )
         db2 = roundtrip(db)
         assert db2.query(
             "MATCH (s:V)-[:E*1..2]->(t) WHERE id(s) = 0 RETURN count(DISTINCT t)"
@@ -108,7 +109,7 @@ class TestRoundTrip:
 
 def populate(db: GraphDB) -> None:
     """A graph exercising every persisted surface: multi-labels, typed
-    properties, multi-edges, deletions, recordless bulk edges, an index."""
+    properties, multi-edges, deletions, bulk-loaded edges, an index."""
     db.query("CREATE (:Person {name:'Ann', age: 30, score: 1.5, ok: true, tags: ['a', 1]})")
     db.query("CREATE (:Person:Admin {name:'Bo', meta: {x: 1}})")
     db.query("CREATE (:Thing {name:'t0'}), (:Thing {name:'t1'})")
@@ -117,8 +118,10 @@ def populate(db: GraphDB) -> None:
     db.query("MATCH (a {name:'Bo'}), (b {name:'t0'}) CREATE (a)-[:OWNS]->(b)")
     db.query("MATCH (n {name:'t1'}) DELETE n")
     db.query("CREATE INDEX ON :Person(name)")
-    db.graph.bulk_load_nodes(4, label="V")
-    db.graph.bulk_load_edges(np.array([0, 1]), np.array([1, 2]), "LINK")
+    db.bulk_insert(
+        nodes=[{"labels": ["V"], "count": 4}],
+        edges=[{"type": "LINK", "src": [0, 1], "dst": [1, 2]}],
+    )
 
 
 DIFF_QUERIES = [
@@ -169,7 +172,7 @@ class TestV2Format:
         disk write under no lock — a writer commits while a slow save is
         still streaming bytes out."""
         db = GraphDB("g", GraphConfig(node_capacity=1024))
-        db.graph.bulk_load_nodes(500, label="V")
+        db.bulk_insert(nodes=[{"labels": ["V"], "count": 500}])
 
         class SlowSink(io.BytesIO):
             def __init__(self):
@@ -277,6 +280,98 @@ class TestV2Format:
         # the freed edge slot is recycled in the restored graph
         db2.query("MATCH (a:A), (b:B) CREATE (a)-[:R {i: 1}]->(b)")
         assert db2.query("MATCH ()-[e:R]->() RETURN id(e), e.i").rows == [(0, 1)]
+
+
+class TestEntriesWithoutRecords:
+    """Older builds could bulk-load relation-matrix entries without edge
+    records and save them.  Loading such a file gives every entry a
+    record, so edge variables bind and DETACH DELETE removes them."""
+
+    @staticmethod
+    def older_build_file() -> io.BytesIO:
+        db = GraphDB("g", GraphConfig(node_capacity=16))
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": 5}],
+            edges=[{"type": "E", "src": [0, 0], "dst": [1, 1]}],  # recorded multi-edge
+        )
+        db.query("MATCH (n) WHERE id(n) = 4 DELETE n")
+        graph = db.graph
+        # what the recordless writer did: splice the entries, no records
+        for reltype, src, dst in (("E", [1, 2, 3], [2, 3, 4]), ("F", [0], [1])):
+            rid = graph.schema.intern_reltype(reltype)
+            graph._rel_matrix_for(rid).union_splice(np.array(src), np.array(dst))
+            graph._adj.union_splice(np.array(src), np.array(dst))
+        buf = io.BytesIO()
+        db.save(buf)
+        buf.seek(0)
+        return buf
+
+    def test_each_entry_gets_a_record(self):
+        db = GraphDB.load(self.older_build_file())
+        # (3,4) ended on a node deleted before the save: it is dropped
+        pairs = "MATCH (a)-[:E]->(b) RETURN id(a), id(b) ORDER BY id(a)"
+        assert db.query(pairs).rows == [(0, 1), (1, 2), (2, 3)]
+        assert db.query("MATCH (a)-->(b) WHERE id(a) = 3 RETURN count(b)").scalar() == 0
+        assert db.query("MATCH ()-[r:E]->() RETURN count(r)").scalar() == 4
+        assert db.query("MATCH ()-[r:F]->() RETURN count(r)").scalar() == 1
+        assert db.graph.edge_count == 5
+        stats = db.graph.stats.snapshot().rels
+        assert (stats["E"].edges, stats["E"].entries) == (4, 3)
+
+    def test_detach_delete_leaves_no_phantom(self):
+        db = GraphDB.load(self.older_build_file())
+        db.query("MATCH (n) WHERE id(n) = 1 DETACH DELETE n")
+        db.query("CREATE (:W {x: 1})")  # recycles slot 1
+        assert db.query("MATCH (w:W) RETURN id(w)").scalar() == 1
+        assert db.query("MATCH (a)-[:E]->(b) RETURN id(a), id(b)").rows == [(2, 3)]
+        assert db.query("MATCH (a)-->(b) RETURN id(a), id(b)").rows == [(2, 3)]
+        # the adopted records survive a second save
+        again = roundtrip(db)
+        assert again.graph.edge_count == db.graph.edge_count == 1
+
+    @pytest.mark.parametrize("orphans", [0, 1, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_mix_matches_pair_oracle(self, seed, orphans):
+        """Recorded edges plus spliced entries on a graph with deleted
+        nodes: after loading, each live (type, src, dst) entry is bound by
+        its recorded edges, or by exactly one adopted record."""
+        rng = np.random.default_rng(seed)
+        n = 12
+        db = GraphDB("g", GraphConfig(node_capacity=16))
+        src, dst = rng.integers(0, n, 10), rng.integers(0, n, 10)
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": n}],
+            edges=[{"type": "E", "src": src.tolist(), "dst": dst.tolist()}],
+        )
+        dead = {int(x) for x in rng.choice(n, 2, replace=False)}
+        for node_id in dead:
+            db.query("MATCH (v) WHERE id(v) = $id DETACH DELETE v", {"id": node_id})
+        recorded = [(s, d) for s, d in zip(src.tolist(), dst.tolist()) if s not in dead and d not in dead]
+        graph = db.graph
+        osrc, odst = rng.integers(0, n, orphans), rng.integers(0, n, orphans)
+        if orphans:
+            rid = graph.schema.intern_reltype("E")
+            graph._rel_matrix_for(rid).union_splice(osrc, odst)
+            graph._adj.union_splice(osrc, odst)
+        before = graph.edge_count
+        buf = io.BytesIO()
+        db.save(buf)
+        buf.seek(0)
+        loaded = GraphDB.load(buf)
+
+        live_orphans = {
+            (s, d) for s, d in zip(osrc.tolist(), odst.tolist()) if s not in dead and d not in dead
+        }
+        adopted = live_orphans - set(recorded)
+        pairs = "MATCH (a)-[:E]->(b) RETURN id(a), id(b)"
+        assert sorted(loaded.query(pairs).rows) == sorted(set(recorded) | live_orphans)
+        bound = "MATCH (a)-[r:E]->(b) RETURN id(a), id(b), count(r)"
+        expected = {}
+        for pair in recorded + sorted(adopted):
+            expected[pair] = expected.get(pair, 0) + 1
+        assert {(a, b): c for a, b, c in loaded.query(bound).rows} == expected
+        assert loaded.graph.edge_count == before + len(adopted)
+        assert roundtrip(loaded).graph.edge_count == loaded.graph.edge_count
 
 
 class TestErrors:

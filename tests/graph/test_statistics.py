@@ -141,15 +141,16 @@ class TestBulkMaintenance:
         w.commit(lock=False)
         assert_consistent(g)
 
-    def test_recordless_bulk_edges(self):
-        """Dataset-loading path: matrix entries without edge records still
-        feed entry/degree statistics (edges stays at the record count)."""
+    def test_bulk_multi_edges(self):
+        """Bulk multi-edges: one record each, one matrix entry per pair."""
         g = Graph("s", GraphConfig(node_capacity=64))
-        g.bulk_load_nodes(10, label="V")
-        g.bulk_load_edges(np.array([0, 1, 0]), np.array([1, 2, 1]), "E")
+        w = BulkWriter(g)
+        w.add_nodes(count=10, labels=["V"])
+        w.add_edges("E", [0, 1, 0], [1, 2, 1])
+        w.commit(lock=False)
         rel = g.stats._rels[g.schema.intern_reltype("E")]
-        assert rel.edges == 0  # no records materialized
-        assert rel.entries == 2  # (0,1) deduplicated
+        assert rel.edges == 3
+        assert rel.entries == 2  # (0,1) shared by two records
         assert_consistent(g)
 
     def test_bulk_over_existing_graph(self):
@@ -219,8 +220,10 @@ class TestPersistence:
 
     def test_bulk_loaded_matrix_stats_survive(self):
         db = GraphDB("s", GraphConfig(node_capacity=64))
-        db.graph.bulk_load_nodes(10, label="V")
-        db.graph.bulk_load_edges(np.array([0, 1, 2]), np.array([1, 2, 3]), "E")
+        db.bulk_insert(
+            nodes=[{"labels": ["V"], "count": 10}],
+            edges=[{"type": "E", "src": [0, 1, 2], "dst": [1, 2, 3]}],
+        )
         db2 = self._roundtrip(db)
         assert db2.graph.stats.measure() == db.graph.stats.measure()
 

@@ -80,6 +80,24 @@ class TestExactEquivalence:
         assert [int(i) for i in got_ids] == want_ids
         assert np.array_equal(np.asarray(got_scores), want_scores)
 
+    def test_exact_procedure_matches_flat(self):
+        """The same top-k through ``CALL db.idx.vector.query`` on a
+        bulk-loaded graph: ids in the oracle's order, scores equal."""
+        rng = np.random.default_rng(15)
+        dim = 8
+        vecs = rng.normal(size=(300, dim))
+        db = GraphDB("vec")
+        db.bulk_insert(nodes=[{"labels": ["Doc"], "properties": {"emb": [v.tolist() for v in vecs]}}])
+        db.query(f"CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {{dimension: {dim}, exact: true}}")
+        q = rng.normal(size=dim).tolist()
+        rows = db.query(
+            "CALL db.idx.vector.query('Doc', 'emb', $q, 10) YIELD node, score RETURN id(node), score",
+            {"q": q},
+        ).rows
+        want_ids, want_scores = flat_oracle(list(enumerate(vecs)), q, 10)
+        assert [r[0] for r in rows] == want_ids
+        assert np.allclose([r[1] for r in rows], want_scores)
+
     def test_full_probe_recall_is_one(self):
         """nprobe == nlist scans every bucket: exact cosine within each
         bucket plus the global lexsort makes the result identical to the

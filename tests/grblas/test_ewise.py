@@ -14,6 +14,7 @@ from tests.helpers import (
     matrix_dense_and_pattern,
     ref_ewise_add,
     ref_ewise_mult,
+    vector_and_pattern,
     vector_dense_and_pattern,
 )
 
@@ -70,7 +71,40 @@ class TestEwiseMult:
         assert C.nvals == 1 and C[0, 1] == 6.0
 
 
+@st.composite
+def same_size_vectors(draw):
+    u, ud, up = draw(vector_and_pattern(max_dim=8))
+    v, vd, vp = draw(vector_and_pattern(size=u.size))
+    return u, ud, up, v, vd, vp
+
+
+def _as_row(d, p):
+    return d.reshape(1, -1), p.reshape(1, -1)
+
+
 class TestVectorEwise:
+    @pytest.mark.parametrize("op_name", OPS)
+    @given(data=st.data())
+    def test_add_matches_reference(self, op_name, data):
+        u, ud, up, v, vd, vp = data.draw(same_size_vectors())
+        got = u.ewise_add(v, binary[op_name])
+        got.check_invariants()
+        exp_d, exp_p = ref_ewise_add(*_as_row(ud, up), *_as_row(vd, vp), binary[op_name])
+        gd, gp = _as_row(*vector_dense_and_pattern(got))
+        assert np.array_equal(gp, exp_p)
+        assert np.allclose(gd[gp], exp_d[gp])
+
+    @pytest.mark.parametrize("op_name", OPS)
+    @given(data=st.data())
+    def test_mult_matches_reference(self, op_name, data):
+        u, ud, up, v, vd, vp = data.draw(same_size_vectors())
+        got = u.ewise_mult(v, binary[op_name])
+        got.check_invariants()
+        exp_d, exp_p = ref_ewise_mult(*_as_row(ud, up), *_as_row(vd, vp), binary[op_name])
+        gd, gp = _as_row(*vector_dense_and_pattern(got))
+        assert np.array_equal(gp, exp_p)
+        assert np.allclose(gd[gp], exp_d[gp])
+
     def test_add(self):
         u = Vector.from_coo([0, 1], [1.0, 2.0], size=3)
         v = Vector.from_coo([1, 2], [10.0, 20.0], size=3)

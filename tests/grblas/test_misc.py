@@ -1,15 +1,12 @@
-"""Scalar, descriptor, kronecker, transpose and I/O tests."""
-
-import io
+"""Scalar, descriptor and transpose tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from repro.errors import EmptyObject, InvalidValue
-from repro.grblas import FP64, INT64, Matrix, Scalar, binary
+from repro.errors import EmptyObject
+from repro.grblas import FP64, INT64, Scalar
 from repro.grblas.descriptor import NULL, RC, Descriptor, T0
-from repro.grblas.io import mm_read, mm_write
 
 from tests.helpers import matrix_and_pattern
 
@@ -62,28 +59,6 @@ class TestDescriptor:
         assert "NULL" in repr(NULL)
 
 
-class TestKronecker:
-    def test_small(self):
-        A = Matrix.from_dense(np.array([[1.0, 2.0]]))
-        B = Matrix.from_dense(np.array([[3.0], [4.0]]))
-        C = A.kronecker(B, binary.times)
-        assert C.shape == (2, 2)
-        assert np.allclose(C.to_dense(), np.kron(A.to_dense(), B.to_dense()))
-
-    @given(matrix_and_pattern(max_dim=3), matrix_and_pattern(max_dim=3))
-    def test_matches_numpy(self, mp1, mp2):
-        A, Ad, _ = mp1
-        B, Bd, _ = mp2
-        C = A.kronecker(B, binary.times)
-        assert np.allclose(C.to_dense(), np.kron(Ad, Bd))
-
-    def test_empty_operand(self):
-        A = Matrix.new(FP64, 2, 2)
-        B = Matrix.from_dense(np.ones((2, 2)))
-        C = A.kronecker(B, binary.times)
-        assert C.shape == (4, 4) and C.nvals == 0
-
-
 class TestTranspose:
     @given(matrix_and_pattern(max_dim=5))
     def test_matches_dense(self, mp):
@@ -94,46 +69,3 @@ class TestTranspose:
     def test_preserves_invariants(self, mp):
         M, _, _ = mp
         M.T.check_invariants()
-
-
-class TestMatrixMarketIO:
-    def _roundtrip(self, A):
-        buf = io.StringIO()
-        mm_write(buf, A)
-        buf.seek(0)
-        return mm_read(buf)
-
-    def test_real_roundtrip(self):
-        A = Matrix.from_dense(np.array([[1.5, 0.0], [0.25, 3.0]]))
-        assert self._roundtrip(A) == A
-
-    def test_integer_roundtrip(self):
-        A = Matrix.from_coo([0, 1], [1, 0], [7, -3], nrows=2, ncols=2, dtype=INT64)
-        assert self._roundtrip(A) == A
-
-    def test_pattern_roundtrip(self):
-        A = Matrix.from_edges([0, 1, 1], [1, 0, 1], nrows=2)
-        assert self._roundtrip(A) == A
-
-    def test_comment_written(self):
-        buf = io.StringIO()
-        mm_write(buf, Matrix.new(FP64, 1, 1), comment="hello")
-        assert "% hello" in buf.getvalue()
-
-    def test_empty_matrix(self):
-        A = Matrix.new(FP64, 3, 2)
-        B = self._roundtrip(A)
-        assert B.shape == (3, 2) and B.nvals == 0
-
-    def test_symmetric_expansion(self):
-        text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 5.0\n2 1 7.0\n"
-        A = mm_read(io.StringIO(text))
-        assert A[0, 0] == 5.0 and A[1, 0] == 7.0 and A[0, 1] == 7.0
-
-    def test_rejects_non_mm(self):
-        with pytest.raises(InvalidValue):
-            mm_read(io.StringIO("garbage\n"))
-
-    def test_rejects_array_format(self):
-        with pytest.raises(InvalidValue):
-            mm_read(io.StringIO("%%MatrixMarket matrix array real general\n"))

@@ -1,44 +1,10 @@
-"""Unit tests for unary/binary operator semantics."""
+"""Unit tests for binary operator semantics."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DomainMismatch
-from repro.grblas import binary, unary
-
-
-class TestUnary:
-    def test_identity_copies(self):
-        x = np.array([1, 2, 3])
-        out = unary.identity(x)
-        assert np.array_equal(out, x)
-        out[0] = 99
-        assert x[0] == 1
-
-    def test_ainv(self):
-        assert np.array_equal(unary.ainv(np.array([1, -2])), [-1, 2])
-
-    def test_minv_float(self):
-        assert np.allclose(unary.minv(np.array([2.0, 4.0])), [0.5, 0.25])
-
-    def test_minv_integer_zero_safe(self):
-        out = unary.minv(np.array([0, 1, 2], dtype=np.int64))
-        assert np.array_equal(out, [0, 1, 0])
-
-    def test_lnot(self):
-        out = unary.lnot(np.array([True, False]))
-        assert out.dtype == np.bool_
-        assert np.array_equal(out, [False, True])
-
-    def test_one(self):
-        assert np.array_equal(unary.one(np.array([5, 7])), [1, 1])
-
-    def test_abs(self):
-        assert np.array_equal(unary.abs(np.array([-3, 4])), [3, 4])
-
-    def test_unknown_raises(self):
-        with pytest.raises(DomainMismatch):
-            unary["frobnicate"]
+from repro.grblas import binary
 
 
 class TestBinaryArithmetic:
@@ -57,6 +23,10 @@ class TestBinaryArithmetic:
     def test_div_integer_zero_safe(self):
         out = binary.div(np.array([6, 7]), np.array([2, 0]))
         assert np.array_equal(out, [3, 0])
+
+    def test_unknown_raises(self):
+        with pytest.raises(DomainMismatch):
+            binary["frobnicate"]
 
     def test_min_max(self):
         a, b = np.array([1, 9]), np.array([5, 2])

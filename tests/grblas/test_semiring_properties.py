@@ -92,7 +92,7 @@ class TestTransposeLaws:
     @given(matrix_and_pattern(max_dim=5))
     def test_ewise_commutes_with_transpose(self, mp):
         A, _, _ = mp
-        B = A.apply_bind(binary.times, 2.0)
+        B = Matrix(A.nrows, A.ncols, A.dtype, indptr=A.indptr, indices=A.indices, values=A.values * 2.0)
         left = A.ewise_add(B, binary.plus).transpose()
         right = A.transpose().ewise_add(B.transpose(), binary.plus)
         assert left == right

@@ -160,6 +160,17 @@ class TestAlgorithmProcedures:
         assert comp["x"] == comp["y"] != comp["a"]
         assert comp["t1"] == comp["t2"] == comp["t3"] != comp["a"]
 
+    def test_pagerank_over_a_full_matrix_sums_to_one(self):
+        """Ranks are computed over the whole matrix dimension, so they sum
+        to 1 only when every slot holds a live node, as here."""
+        full = GraphDB("full", GraphConfig(node_capacity=4))
+        full.query("CREATE (:H)<-[:R]-(:S), (:H)<-[:R]-(:S)")
+        assert full.graph.capacity == full.graph.node_count == 4
+        ((count, total),) = full.query(
+            "CALL algo.pagerank() YIELD node, score RETURN count(node), sum(score)"
+        ).rows
+        assert count == 4 and total == pytest.approx(1.0)
+
     def test_sssp_distances(self, db):
         rows = db.query(
             "MATCH (s:Person {name: 'a'}) CALL algo.sssp(s) YIELD node, distance "

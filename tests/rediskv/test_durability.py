@@ -192,6 +192,35 @@ class TestRetiredKnobs:
         srv2.stop()
 
 
+class TestRetiredRecordFlag:
+    """WAL ``bulk`` records logged while edge batches carried a
+    ``"record"`` flag replay after kill-and-restart; the flag is ignored
+    and every edge gets a record."""
+
+    def test_bulk_record_with_record_flag_replays(self, tmp_path):
+        srv = start_server(tmp_path)
+        with RedisClient(port=srv.port) as c:
+            c.graph_query("g", "CREATE (:A {name: 'seed', v: 0})")
+        # what a GRAPH.BULK commit used to log
+        srv.durability.log_bulk("g", {
+            "nodes": [{"labels": ["B"], "count": 3, "properties": {"v": [1, 2, 3]}}],
+            "edges": [
+                {"type": "S", "src": [0, 1], "dst": [1, 2], "properties": {},
+                 "endpoints": "batch", "record": True},
+                {"type": "S", "src": [0], "dst": [0], "properties": {"k": [7]},
+                 "endpoints": "graph", "record": True},
+            ],
+        })
+        srv.stop()
+
+        srv2 = start_server(tmp_path)
+        assert srv2.recovery_stats["replayed"] == 2
+        with RedisClient(port=srv2.port) as c2:
+            rows = c2.graph_query("g", "MATCH (a)-[e:S]->(b) RETURN id(a), id(b), e.k ORDER BY id(b)").rows
+            assert [tuple(r) for r in rows] == [(0, 0, 7), (1, 2, None), (2, 3, None)]
+        srv2.stop()
+
+
 class TestTornTail:
     def test_truncated_log_recovers_cleanly(self, tmp_path):
         srv = start_server(tmp_path)
