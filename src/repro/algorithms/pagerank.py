@@ -9,9 +9,11 @@ unweighted adjacency matrices.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.grblas import Matrix, Vector, monoid, semiring
+from repro.grblas import Matrix, Vector, semiring
 from repro.grblas.types import FP64
 
 from repro.algorithms._view import as_read_matrix
@@ -25,30 +27,37 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-8,
     max_iter: int = 100,
+    nodes: Optional[np.ndarray] = None,
 ) -> Vector:
     """Rank of every node of the directed graph ``A`` (pattern only).
 
-    Returns a dense FP64 vector summing to 1.  Converges when the L1 change
-    drops below ``tol``.
+    ``nodes`` lists the ids that take part (default: every row); the other
+    rows are empty slots of a graph's capacity, with no edges, and get no
+    teleport share.  Returns an FP64 vector over ``nodes`` summing to 1.
+    Converges when the L1 change drops below ``tol``.
     """
     A = as_read_matrix(A)
-    n = A.nrows
+    dim = A.nrows
+    nodes = np.arange(dim, dtype=np.int64) if nodes is None else np.sort(nodes)
+    n = len(nodes)
     if n == 0:
-        return Vector(n, FP64)
+        return Vector(dim, FP64)
     outdeg = A.row_degree().astype(np.float64)
-    dangling = np.flatnonzero(outdeg == 0)
-    rank = np.full(n, 1.0 / n)
-    teleport = (1.0 - damping) / n
+    dangling = nodes[outdeg[nodes] == 0]
+    rank = np.zeros(dim)
+    rank[nodes] = 1.0 / n
+    teleport = np.zeros(dim)
+    teleport[nodes] = (1.0 - damping) / n
     for _ in range(max_iter):
         scaled = rank / np.where(outdeg > 0, outdeg, 1.0)
-        v = Vector(n, FP64, indices=np.arange(n, dtype=np.int64), values=scaled)
+        v = Vector(dim, FP64, indices=np.arange(dim, dtype=np.int64), values=scaled)
         contrib = v.vxm(A, semiring.plus_first)
-        new_rank = np.full(n, teleport)
+        new_rank = teleport.copy()
         new_rank[contrib.indices] += damping * contrib.values
         if len(dangling):
-            new_rank += damping * rank[dangling].sum() / n
+            new_rank[nodes] += damping * rank[dangling].sum() / n
         if np.abs(new_rank - rank).sum() < tol:
             rank = new_rank
             break
         rank = new_rank
-    return Vector(n, FP64, indices=np.arange(n, dtype=np.int64), values=rank)
+    return Vector(dim, FP64, indices=nodes, values=rank[nodes])

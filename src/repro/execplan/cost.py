@@ -6,8 +6,8 @@ System-R-style rules (the query-optimization layer Besta et al. name as
 what separates production graph engines from toys):
 
 * **scan cardinality** from per-label node counts (an AllNodeScan costs
-  ``N``, a label scan the label's count, an index probe the index's
-  average posting size ``size / NDV``),
+  ``N``, a label scan the label's count, an index seek the index's size
+  times each consumed predicate's selectivity — ``1 / NDV`` for ``=``),
 * **expansion fan-out** from per-type degree statistics: a traversal
   multiplies the frontier by the type's mean entries-per-node, a
   variable-length hop by the clamped geometric series of that fan,
@@ -34,7 +34,6 @@ from repro.execplan.ops_scan import (
     IndexOrderScan,
     IndexRangeScan,
     NodeByIdSeek,
-    NodeByIndexScan,
     NodeByLabelScan,
 )
 from repro.execplan.ops_stream import (
@@ -104,16 +103,6 @@ class CostModel:
 
     def label_selectivity(self, label: str) -> float:
         return min(1.0, self.label_count(label) / self.node_count)
-
-    def index_estimate(self, label: str, attribute: str) -> float:
-        """Expected postings of one equality probe: size / NDV (falls back
-        to the default equality selectivity of the label's count when the
-        index isn't in the snapshot yet)."""
-        entry = self.stats.indexes.get((label, attribute))
-        if entry is None:
-            return self.label_count(label) * DEFAULT_EQ_SELECTIVITY
-        size, ndv = entry
-        return size / max(1, ndv)
 
     def seek_estimate(self, label, attributes, kind, specs) -> float:
         """Expected rows of one IndexRangeScan: the index's size times the
@@ -213,14 +202,11 @@ class CostModel:
     # Composite prices (what the planner compares)
     # ------------------------------------------------------------------
     def access_estimate(
-        self,
-        labels: Sequence[str],
-        prop_keys: Sequence[str],
-        schema,
-        *,
-        id_seek: bool = False,
+        self, labels: Sequence[str], prop_count: int, *, id_seek: bool = False
     ) -> Tuple[float, float, int]:
-        """(estimated rows, work, rule score) of scanning one node pattern.
+        """(estimated rows, work, rule score) of scanning one node pattern
+        with ``prop_count`` inline-map entries, before any index seek (the
+        planner prices those separately with :meth:`seek_estimate`).
 
         ``work`` is what the access op itself materializes — the rows any
         residual property/label Filter must then examine — while the first
@@ -233,20 +219,15 @@ class CostModel:
         exactly."""
         if id_seek:
             return 1.0, 1.0, 3
+        sel = DEFAULT_EQ_SELECTIVITY ** prop_count
         if labels:
             extra = 1.0
             for lbl in labels[1:]:
                 extra *= self.label_selectivity(lbl)
-            indexed = [k for k in prop_keys if schema.has_index(labels[0], k)]
-            if indexed:
-                best = min(self.index_estimate(labels[0], k) for k in indexed)
-                residual = DEFAULT_EQ_SELECTIVITY ** (len(prop_keys) - 1)
-                return best * residual * extra, best, 2
             count = self.label_count(labels[0])
-            sel = DEFAULT_EQ_SELECTIVITY ** len(prop_keys)
             return count * sel * extra, count, 1
         n = float(self.node_count)
-        return n * DEFAULT_EQ_SELECTIVITY ** len(prop_keys), n, 0
+        return n * sel, n, 0
 
     def step_estimate(
         self,
@@ -386,9 +367,6 @@ def _estimate(op: PlanOp, model: CostModel) -> float:
         return _child_est(op) if op.children else 1.0
     if isinstance(op, AllNodeScan):
         return (_child_est(op) if op.children else 1.0) * n
-    if isinstance(op, NodeByIndexScan):
-        base = model.index_estimate(op._label, op._attribute)
-        return (_child_est(op) if op.children else 1.0) * base
     if isinstance(op, IndexRangeScan):
         base = model.seek_estimate(
             op._label, op._attributes, op._kind, [(s.op, s.literal) for s in op._specs]

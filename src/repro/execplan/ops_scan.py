@@ -25,7 +25,6 @@ from repro.graph.index import _family_of
 __all__ = [
     "AllNodeScan",
     "NodeByLabelScan",
-    "NodeByIndexScan",
     "NodeByIdSeek",
     "IndexRangeScan",
     "IndexOrderScan",
@@ -160,49 +159,6 @@ class NodeByLabelScan(_NodeEmitScan):
         return ctx.graph.nodes_with_label(self._label)
 
 
-class NodeByIndexScan(_NodeEmitScan):
-    """Probe an exact-match index: ``MATCH (n:L {attr: value})`` where an
-    index exists on (L, attr)."""
-
-    name = "NodeByIndexScan"
-
-    def __init__(
-        self,
-        var: str,
-        label: str,
-        attribute: str,
-        value: CompiledExpr,
-        child: Optional[PlanOp] = None,
-    ) -> None:
-        super().__init__(var, child)
-        self._label = label
-        self._attribute = attribute
-        self._value = value
-
-    def describe(self) -> str:
-        return f"NodeByIndexScan | ({self._var}:{self._label} {{{self._attribute}}})"
-
-    def _record_dependent(self) -> bool:
-        return True
-
-    def _node_ids(self, ctx: ExecContext, record: Optional[Record]) -> np.ndarray:
-        index = ctx.graph.get_index(self._label, self._attribute)
-        value = self._value(record if record is not None else [], ctx)
-        if index is None:
-            # the index vanished between plan lookup and execution (the
-            # schema-version bump invalidates the cached plan for the NEXT
-            # request); degrade to a filtered label scan rather than fail
-            return np.asarray(
-                [
-                    int(nid)
-                    for nid in ctx.graph.nodes_with_label(self._label)
-                    if ctx.graph.node_property(int(nid), self._attribute) == value
-                ],
-                dtype=_I64,
-            )
-        return np.asarray(sorted(index.lookup(value)), dtype=_I64)
-
-
 class IndexOrderScan(_NodeEmitScan):
     """Stream one label's nodes in ``ORDER BY n.attr`` order straight off
     the range index's sorted arrays — the planner installs this in place
@@ -327,7 +283,9 @@ def _spec_true(op: str, prop, value) -> bool:
 
 
 class IndexRangeScan(_NodeEmitScan):
-    """Batch-native seek over a range or composite secondary index.
+    """Batch-native seek over a range or composite secondary index — the
+    one seek-side operator, serving both WHERE conjuncts and inline-map
+    entries (``(n:L {a: v})`` is one more ``a = v`` spec).
 
     Emits exactly the nodes every consumed conjunct holds True for, so
     the planner can drop those conjuncts from the residual WHERE filter.

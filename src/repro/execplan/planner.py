@@ -10,8 +10,9 @@ Mirrors RedisGraph's ExecutionPlan construction:
   matrix × destination label diagonals); single hops become
   ConditionalTraverse / ExpandInto, variable-length hops become
   CondVarLenTraverse,
-* inline property maps lower to filters (or into the index probe at the
-  anchor), WHERE lowers to a Filter operation,
+* inline property maps lower to filters, WHERE lowers to a Filter
+  operation; an anchor's WHERE conjuncts and inline-map entries on
+  indexed attributes may instead drive one IndexRangeScan seek,
 * WITH/RETURN lower to Project or Aggregate (+ Distinct/Sort/Skip/Limit),
   with aggregate calls rewritten into placeholder slots and implicit
   grouping keys lifted from mixed expressions.
@@ -41,7 +42,6 @@ from repro.execplan.ops_scan import (
     IndexOrderScan,
     IndexRangeScan,
     NodeByIdSeek,
-    NodeByIndexScan,
     NodeByLabelScan,
     SeekSpec,
 )
@@ -391,52 +391,31 @@ class _Planner:
                 score = 3
             elif node.labels:
                 score = 1
-                if node.properties:
-                    for key, _ in node.properties:
-                        if self.schema.has_index(node.labels[0], key):
-                            score = 2
-                            break
-                if score == 1 and self._conjunct_servable(node.labels[0], node_vars[i]):
+                if self._pick_conjunct_seek(node, node_vars[i], self._bound()) is not None:
                     score = 2
             if score > best_score:
                 best, best_score = i, score
         return best
 
-    def _conjunct_servable(self, label: str, var: str) -> bool:
-        """Whether a WHERE conjunct on ``var`` can drive an index seek —
-        the rule-based twin of the seek pricing below."""
-        conjuncts = self._range_preds.get(var)
-        if not conjuncts:
-            return False
-        bound = self._bound()
-        for c in conjuncts:
-            if _identifier_names(c.value) - bound:
-                continue
-            if self.schema.has_index(label, c.attr):
-                return True
-            if c.op == "=" and any(
-                attrs[0] == c.attr for attrs in self.schema.composite_indexes(label)
-            ):
-                return True
-        return False
+    def _pick_conjunct_seek(self, node: A.NodePattern, var: str, base_names: Set[str]):
+        """Choose the index seek for ``var`` (a labelled node), or None.
 
-    def _pick_conjunct_seek(self, label: str, var: str, base_names: Set[str]):
-        """Choose the index seek for ``var``'s WHERE conjuncts, or None.
-
-        Candidates: a range index on any conjunct attribute (consuming
-        every usable conjunct on it), and each composite index with an
-        eq-covered leading attribute prefix (longest prefix wins — sound
-        because composite entries key the node's longest indexable
-        prefix).  Rule ranking prefers coverage, then range over
-        composite, then attribute order; with statistics the cheapest
-        priced candidate wins and one pricing worse than its label scan
-        is rejected, mirroring the inline-map probe's degenerate guard.
+        Conjuncts are ``var``'s seekable WHERE conjuncts plus one ``=``
+        per entry of the node's inline property map.  Candidates: a range
+        index on any conjunct attribute (consuming every usable conjunct
+        on it), and each composite index with an eq-covered leading
+        attribute prefix (longest prefix wins — sound because composite
+        entries key the node's longest indexable prefix).  Rule ranking
+        prefers coverage, then range over composite, then attribute
+        order; with statistics the cheapest priced candidate wins and one
+        pricing worse than its label scan is rejected.
 
         Returns (kind, index attributes, conjuncts consumed, est rows).
         """
-        conjuncts = self._range_preds.get(var)
-        if not conjuncts:
-            return None
+        label = node.labels[0]
+        conjuncts = self._range_preds.get(var, []) + [
+            _RangeConjunct(None, var, key, "=", value) for key, value in node.properties
+        ]
         usable = [c for c in conjuncts if not (_identifier_names(c.value) - base_names)]
         if not usable:
             return None
@@ -487,14 +466,11 @@ class _Planner:
         self, node: A.NodePattern, var: str
     ) -> Tuple[float, float, int]:
         est, work, score = self.cost.access_estimate(
-            node.labels,
-            tuple(k for k, _ in node.properties),
-            self.schema,
-            id_seek=var in self._id_seeks,
+            node.labels, len(node.properties), id_seek=var in self._id_seeks
         )
         if score >= 2 or not node.labels:
             return est, work, score
-        pick = self._pick_conjunct_seek(node.labels[0], var, self._bound())
+        pick = self._pick_conjunct_seek(node, var, self._bound())
         if pick is not None and pick[3] is not None and pick[3] < work:
             seek_rows = pick[3]
             return min(est, seek_rows), seek_rows, 2
@@ -920,7 +896,6 @@ class _PathChain:
 
     def scan_anchor(self, node: A.NodePattern, var: str) -> None:
         planner = self.planner
-        schema = planner.schema
         child = self.root  # None for standalone paths; stream for correlated
         base_layout = child.out_layout if child is not None else None
         scan: PlanOp
@@ -935,37 +910,14 @@ class _PathChain:
             self.filter_node_constraints(node, var)
             return
         if node.labels:
-            index_key = None
-            best_cost = None
-            for key, value_expr in node.properties:
-                if schema.has_index(node.labels[0], key):
-                    if planner.cost is None:
-                        index_key = (key, value_expr)
-                        break
-                    # priced: cheapest indexed property (smallest average
-                    # posting list), not the first one in pattern order
-                    cost = planner.cost.index_estimate(node.labels[0], key)
-                    if best_cost is None or cost < best_cost:
-                        index_key, best_cost = (key, value_expr), cost
-            if (
-                best_cost is not None
-                and best_cost > planner.cost.label_count(node.labels[0])
-            ):
-                # a degenerate index pricing worse than its label scan
-                index_key = None
-            pick = None
-            if index_key is None:
-                # no inline-map probe: WHERE conjuncts on this variable may
-                # still drive a range/composite seek
-                pick = planner._pick_conjunct_seek(
-                    node.labels[0], var, set(base_layout.names) if base_layout else set()
-                )
-            from repro.execplan.record import Layout
+            # WHERE conjuncts and inline-map entries may drive one seek;
+            # the node's property filter below still checks every entry
+            pick = planner._pick_conjunct_seek(
+                node, var, set(base_layout.names) if base_layout else set()
+            )
+            if pick is not None:
+                from repro.execplan.record import Layout
 
-            if index_key is not None:
-                value_fn = compile_expr(index_key[1], base_layout or Layout())
-                scan = NodeByIndexScan(var, node.labels[0], index_key[0], value_fn, child)
-            elif pick is not None:
                 kind, attrs, chosen, _est = pick
                 layout = base_layout or Layout()
                 specs = [
@@ -979,7 +931,9 @@ class _PathChain:
                     for c in chosen
                 ]
                 scan = IndexRangeScan(var, node.labels[0], kind, attrs, specs, child)
-                planner._consumed_conjuncts.update(id(c.expr) for c in chosen)
+                planner._consumed_conjuncts.update(
+                    id(c.expr) for c in chosen if c.expr is not None
+                )
             else:
                 scan = NodeByLabelScan(var, node.labels[0], child)
         else:
@@ -1234,9 +1188,11 @@ def _fully_consumed_by_seeks(
 @dataclasses.dataclass(frozen=True)
 class _RangeConjunct:
     """One top-level WHERE AND-conjunct an index seek could consume:
-    ``var.attr op value`` with the property access on one side."""
+    ``var.attr op value`` with the property access on one side.  An
+    inline-map entry ``(var {attr: value})`` is an ``=`` one with no
+    ``expr``: its property filter stays, so there is nothing to strip."""
 
-    expr: A.Expr  # the original conjunct node (identity keys consumption)
+    expr: Optional[A.Expr]  # the original conjunct node (identity keys consumption)
     var: str
     attr: str
     op: str  # '=', '<', '<=', '>', '>=', 'STARTS WITH', 'IN'

@@ -134,17 +134,6 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
         ),
     ),
     ConfigSpec(
-        name="index_merge_threshold",
-        default=512,
-        env="REPRO_INDEX_MERGE_THRESHOLD",
-        mutable=True,
-        min=1,
-        doc=(
-            "Pending index writes (adds + deletes) that trigger merging a "
-            "secondary index's delta overlay into its sorted arrays."
-        ),
-    ),
-    ConfigSpec(
         name="vector_nprobe_default",
         default=16,
         env="REPRO_VECTOR_NPROBE_DEFAULT",
@@ -221,9 +210,6 @@ class GraphConfig:
     plan_cache_size: int = field(default_factory=_spec_default("plan_cache_size"))
     cost_based_planner: int = field(
         default_factory=_spec_default("cost_based_planner")
-    )
-    index_merge_threshold: int = field(
-        default_factory=_spec_default("index_merge_threshold")
     )
     vector_nprobe_default: int = field(
         default_factory=_spec_default("vector_nprobe_default")

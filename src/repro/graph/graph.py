@@ -491,7 +491,7 @@ class Graph:
         key = (lid, aid)
         if key in self._indices:
             raise ConstraintViolation(f"index on :{label}({attribute}) already exists")
-        index = RangeIndex(lid, aid, merge_threshold=self.config.index_merge_threshold)
+        index = RangeIndex(lid, aid)
         ids, rows = self._label_member_props(label)
         index.bulk_insert([row.get(aid) for row in rows], ids)
         self._indices[key] = index
@@ -510,7 +510,7 @@ class Graph:
             raise ConstraintViolation(
                 f"index on :{label}({', '.join(attributes)}) already exists"
             )
-        index = CompositeIndex(lid, aids, merge_threshold=self.config.index_merge_threshold)
+        index = CompositeIndex(lid, aids)
         ids, rows = self._label_member_props(label)
         index.bulk_insert(rows, ids)
         self._composite_indices[key] = index
@@ -548,7 +548,6 @@ class Graph:
                 aid,
                 dim=dim,
                 similarity=similarity,
-                merge_threshold=self.config.index_merge_threshold,
                 nlist=nlist,
                 nprobe=nprobe,
                 exact=exact,

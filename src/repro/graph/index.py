@@ -1,19 +1,22 @@
 """Columnar secondary indexes: sorted-array range, composite, and vector.
 
 Three index kinds share one maintenance surface (``index_node`` /
-``unindex_node`` / ``bulk_insert`` keyed by interned attribute ids):
+``unindex_node`` / ``bulk_insert`` keyed by interned attribute ids) and
+one write discipline, :class:`_Overlay`: a base of node ids with
+parallel columns, plus a pending overlay (adds keyed by node id and a
+deleted-id set) that every write lands in and that folds into the base once
+:data:`FOLD_THRESHOLD` entries are pending — the paper's ``DeltaMatrix``
+discipline, so reads never rebuild anything.  Each kind keeps only its
+key encoding, its sort order and its read kernel:
 
 * :class:`RangeIndex` — the workhorse.  Keys live in sorted numpy arrays
-  parallel to an ``int64`` node-id array, one array pair per *type
-  family* (numbers, strings, booleans — kept separate so ``True``,
-  ``1`` and ``1.0`` can never alias, mirroring Cypher's comparison
-  rules where booleans and numbers are incomparable).  Writes land in a
-  small unsorted pending overlay (adds + deletes) merged back into the
-  sorted arrays on a write-side threshold — the same overlay discipline
-  as ``DeltaMatrix``.  Seeks (``=``, ``<``/``<=``/``>``/``>=``, closed
-  ranges, ``IN``, ``STARTS WITH`` prefixes) binary-search the sorted
-  arrays and linearly scan the bounded overlay, returning sorted unique
-  id batches.
+  parallel to an ``int64`` node-id array, one overlay per *type family*
+  (numbers, strings, booleans — kept separate so ``True``, ``1`` and
+  ``1.0`` can never alias, mirroring Cypher's comparison rules where
+  booleans and numbers are incomparable).  Seeks (``=``,
+  ``<``/``<=``/``>``/``>=``, closed ranges, ``IN``, ``STARTS WITH``
+  prefixes) binary-search the sorted arrays and linearly scan the
+  bounded overlay, returning sorted unique id batches.
 
 * :class:`CompositeIndex` — ordered attribute tuples encoded as
   ``(family_rank, value)`` pairs in one sorted object array; equality
@@ -29,11 +32,11 @@ Three index kinds share one maintenance surface (``index_node`` /
   every vector to one of ``nlist`` centroid buckets stored as
   contiguous per-bucket matrices, and a query scores only the
   ``nprobe`` nearest buckets — O(nprobe·N/nlist) instead of O(N).
-  Fresh writes land in a pending flat tail that every query scans
-  exactly (recall never degrades on unmerged data); folds assign the
-  tail into buckets, and drift (size doubling or bucket imbalance)
-  triggers a deterministic incremental re-clustering that warm-starts
-  from the current centroids and swaps the new layout in atomically.
+  The pending adds are a flat tail that every query scans exactly
+  (recall never degrades on unfolded data); folds assign the tail into
+  buckets, and drift (size doubling or bucket imbalance) triggers a
+  deterministic incremental re-clustering that warm-starts from the
+  current centroids and swaps the new layout in atomically.
 
 Indexing rules shared by all kinds: ``None`` is never indexed (Cypher
 null matches no predicate), and neither is ``NaN`` (it compares neither
@@ -50,7 +53,7 @@ monotone: ``float(a) < float(b)`` implies ``a < b``.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,13 +61,16 @@ __all__ = [
     "RangeIndex",
     "CompositeIndex",
     "VectorIndex",
-    "DEFAULT_MERGE_THRESHOLD",
+    "FOLD_THRESHOLD",
 ]
 
 _I64 = np.int64
 _EMPTY_IDS = np.empty(0, dtype=_I64)
+_MISSING = object()
 
-DEFAULT_MERGE_THRESHOLD = 512
+#: pending overlay entries (adds + deletes) at which an index folds its
+#: overlay into the base; read at every write, so tests may patch it
+FOLD_THRESHOLD = 512
 
 # Type families.  The ranks only matter inside composite keys, where
 # they impose one total order across otherwise-incomparable families.
@@ -117,109 +123,186 @@ def _prefix_upper(prefix: str) -> Optional[str]:
     return None
 
 
-class _FamilyStore:
-    """One type family of a :class:`RangeIndex`: sorted keys parallel to
-    node ids, plus the unsorted pending overlay."""
+def _search(keys: np.ndarray, key: Any, side: str) -> int:
+    """searchsorted for one key; the probe is boxed so a tuple key stays
+    one value instead of being unpacked into several."""
+    probe = np.empty(1, dtype=keys.dtype)
+    probe[0] = key
+    return int(keys.searchsorted(probe, side=side)[0])
 
-    __slots__ = ("numeric", "keys", "raw", "ids", "adds", "dels")
 
-    def __init__(self, numeric: bool) -> None:
-        self.numeric = numeric
-        self.keys = np.empty(0, dtype=np.float64 if numeric else object)
-        # raw Python values parallel to keys (numeric family only; for
-        # strings/booleans the key IS the raw value)
-        self.raw = np.empty(0, dtype=object) if numeric else None
+def _append(ids: np.ndarray, cols: Tuple[np.ndarray, ...], more_ids: np.ndarray, more_cols):
+    return (
+        np.concatenate([ids, more_ids]),
+        tuple(np.concatenate([c, m]) for c, m in zip(cols, more_cols)),
+    )
+
+
+class _Overlay:
+    """Node ids with parallel columns in a base, plus the pending overlay
+    every write lands in: the adds (node id → stored value, in write
+    order) and the set of ids deleted from the base.  Once
+    :data:`FOLD_THRESHOLD` entries are pending the overlay folds into the
+    base.  Reads see the base minus the deletes plus the adds and never
+    fold, so they are safe under the query read lock.
+
+    :meth:`_columns` turns stored values into base columns.  A ``sorted``
+    base is kept in stable order of its first column (the sort key); an
+    unsorted one (the vector index) appends instead."""
+
+    __slots__ = ("ids", "cols", "adds", "dels", "live")
+
+    sorted = True
+
+    def __init__(self, *cols: np.ndarray) -> None:
         self.ids = _EMPTY_IDS
-        self.adds: List[Tuple[Any, Any, int]] = []  # (sort_key, raw, node_id)
-        self.dels: Set[int] = set()  # node ids removed from the sorted arrays
+        self.cols: Tuple[np.ndarray, ...] = cols
+        self.adds: Dict[int, Any] = {}
+        self.dels: Set[int] = set()
+        self.live = 0
+
+    def _columns(self, values: List[Any]) -> Tuple[np.ndarray, ...]:
+        """Base columns for a list of stored values: by default the values
+        themselves, shaped like the one base column."""
+        like = self.cols[0]
+        if like.ndim == 2:
+            return (np.vstack(values),)
+        return (np.fromiter(values, dtype=like.dtype, count=len(values)),)
 
     # -- write side --------------------------------------------------
 
-    def pending(self) -> int:
-        return len(self.adds) + len(self.dels)
+    def add(self, nid: int, value: Any) -> None:
+        self.adds[nid] = value
+        self.live += 1
+        self._maybe_fold()
 
-    def add(self, value: Any, nid: int) -> None:
-        key = _float_key(value) if self.numeric else value
-        self.adds.append((key, value, nid))
-
-    def discard_pending(self, nid: int) -> bool:
-        for i, (_k, _v, aid) in enumerate(self.adds):
-            if aid == nid:
-                del self.adds[i]
-                return True
-        return False
-
-    def delete_from_base(self, value: Any, nid: int) -> bool:
-        """Mark the sorted-array entry for ``nid`` deleted; False when no
-        live entry with this key exists."""
+    def drop(self, nid: int, key: Any = None) -> None:
+        """Remove ``nid``'s entry; ``key`` (its sort key) locates it in a
+        sorted base.  A no-op for an id the index does not hold."""
+        if self.adds.pop(nid, _MISSING) is not _MISSING:
+            self.live -= 1
+            return
         if nid in self.dels:
-            return False
-        key = _float_key(value) if self.numeric else value
-        lo = int(np.searchsorted(self.keys, key, side="left"))
-        hi = int(np.searchsorted(self.keys, key, side="right"))
-        for i in range(lo, hi):
-            if int(self.ids[i]) == nid:
-                self.dels.add(nid)
-                return True
-        return False
-
-    def merge(self) -> None:
-        """Fold the pending overlay into the sorted arrays."""
-        if not self.adds and not self.dels:
             return
-        keys, raw, ids = self.keys, self.raw, self.ids
-        if self.dels:
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            keep = ~np.isin(ids, dead)
-            keys, ids = keys[keep], ids[keep]
-            if self.numeric:
-                raw = raw[keep]
-        if self.adds:
-            akeys = np.array([k for k, _v, _n in self.adds], dtype=keys.dtype)
-            aids = np.array([n for _k, _v, n in self.adds], dtype=_I64)
-            keys = np.concatenate([keys, akeys])
-            ids = np.concatenate([ids, aids])
-            if self.numeric:
-                araw = np.empty(len(self.adds), dtype=object)
-                araw[:] = [v for _k, v, _n in self.adds]
-                raw = np.concatenate([raw, araw])
-            order = np.argsort(keys, kind="stable")
-            keys, ids = keys[order], ids[order]
-            if self.numeric:
-                raw = raw[order]
-        self.keys, self.raw, self.ids = keys, raw, ids
-        self.adds, self.dels = [], set()
+        ids = self.ids
+        if self.sorted:
+            keys = self.cols[0]
+            ids = ids[_search(keys, key, "left") : _search(keys, key, "right")]
+        if (ids == nid).any():
+            self.dels.add(nid)
+            self.live -= 1
+            self._maybe_fold()
 
-    def bulk_build(self, values: Sequence[Any], ids: Sequence[int]) -> None:
-        """Append many (value, id) pairs at once and re-sort (backfill)."""
-        self.merge()
-        count = len(values)
-        if not count:
+    def bulk(self, ids: Sequence[int], values: List[Any]) -> None:
+        """Backfill: fold the overlay together with many stored values
+        (``values[i]`` belongs to ``ids[i]``) in one sort."""
+        if not ids:
+            self.fold()
             return
-        if self.numeric:
-            akeys = np.fromiter(
-                (_float_key(v) for v in values), dtype=np.float64, count=count
-            )
-            araw = np.empty(count, dtype=object)
-            araw[:] = list(values)
-            keys = np.concatenate([self.keys, akeys])
-            raw = np.concatenate([self.raw, araw])
-        else:
-            akeys = np.empty(count, dtype=object)
-            akeys[:] = list(values)
-            keys = np.concatenate([self.keys, akeys])
-            raw = None
-        aids = np.asarray(ids, dtype=_I64)
-        all_ids = np.concatenate([self.ids, aids])
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.ids = keys[order], all_ids[order]
-        if self.numeric:
-            self.raw = raw[order]
+        self.fold(np.asarray(ids, dtype=_I64), self._columns(values))
+
+    def _maybe_fold(self) -> None:
+        if len(self.adds) + len(self.dels) >= FOLD_THRESHOLD:
+            self.fold()
+
+    def fold(self, ids: Optional[np.ndarray] = None, cols: Sequence[np.ndarray] = ()) -> None:
+        """Fold the overlay into the base; bulk rows ``ids`` with parallel
+        ``cols`` are appended after the pending adds."""
+        if ids is None and not self.adds and not self.dels:
+            return
+        dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
+        new_ids, new_cols = self.pending()
+        if ids is not None:
+            new_ids, new_cols = _append(new_ids, new_cols, ids, cols)
+            self.live += len(ids)
+        all_ids, all_cols = _append(*self._base_live(), new_ids, new_cols)
+        if self.sorted and len(new_ids):
+            order = np.argsort(all_cols[0], kind="stable")
+            all_ids, all_cols = all_ids[order], tuple(c[order] for c in all_cols)
+        self.ids, self.cols = all_ids, all_cols
+        self.adds, self.dels = {}, set()
+        self._folded(dead, new_ids, new_cols)
+
+    def _folded(self, dead: np.ndarray, ids: np.ndarray, cols: Tuple[np.ndarray, ...]) -> None:
+        """Runs after every fold with the ids dropped from the base and
+        the rows appended to it."""
 
     # -- read side ---------------------------------------------------
 
-    def _raw_at(self, i: int) -> Any:
-        return self.raw[i] if self.numeric else self.keys[i]
+    def _live_mask(self, ids: np.ndarray) -> Optional[np.ndarray]:
+        """Which of ``ids`` are not deleted; None when none can be."""
+        if not self.dels or not len(ids):
+            return None
+        return ~np.isin(ids, np.fromiter(self.dels, dtype=_I64, count=len(self.dels)))
+
+    def _base_live(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        keep = self._live_mask(self.ids)
+        if keep is None:
+            return self.ids, self.cols
+        return self.ids[keep], tuple(c[keep] for c in self.cols)
+
+    def pending(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """The pending adds as an id array with parallel columns."""
+        adds = self.adds
+        if not adds:
+            return _EMPTY_IDS, tuple(c[:0] for c in self.cols)
+        ids = np.fromiter(adds, dtype=_I64, count=len(adds))
+        return ids, self._columns(list(adds.values()))
+
+    def view(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Every live entry: the base minus deletes, then the pending adds."""
+        ids, cols = self._base_live()
+        if self.adds:
+            ids, cols = _append(ids, cols, *self.pending())
+        return ids, cols
+
+    def visible(self, base_ids: np.ndarray, match: Callable[[Any], bool]) -> np.ndarray:
+        """Sorted unique live ids of one seek: ``base_ids`` (the base's
+        hits) minus deletes, plus the pending adds whose stored value
+        ``match`` accepts."""
+        keep = self._live_mask(base_ids)
+        if keep is not None:
+            base_ids = base_ids[keep]
+        extra = [nid for nid, value in self.adds.items() if match(value)]
+        if extra:
+            base_ids = np.concatenate([base_ids, np.asarray(extra, dtype=_I64)])
+        return np.unique(base_ids)
+
+    def distinct_keys(self) -> int:
+        """Distinct base keys, counting every pending add as new."""
+        keys = self.cols[0]
+        return (len(np.unique(keys)) if len(keys) else 0) + len(self.adds)
+
+    def __len__(self) -> int:
+        return self.live
+
+
+class _FamilyStore(_Overlay):
+    """One type family of a :class:`RangeIndex`, storing the raw values.
+    Columns: the sort key (a float64 for numbers, the value itself
+    otherwise) and, for numbers only, the raw value — big ints share
+    float keys."""
+
+    __slots__ = ("numeric",)
+
+    def __init__(self, numeric: bool) -> None:
+        if numeric:
+            super().__init__(np.empty(0, dtype=np.float64), np.empty(0, dtype=object))
+        else:
+            super().__init__(np.empty(0, dtype=object))
+        self.numeric = numeric
+
+    def _columns(self, values: List[Any]) -> Tuple[np.ndarray, ...]:
+        if not self.numeric:
+            return super()._columns(values)
+        n = len(values)
+        keys = np.fromiter((_float_key(v) for v in values), dtype=np.float64, count=n)
+        return keys, np.fromiter(values, dtype=object, count=n)
+
+    def sort_key(self, value: Any) -> Any:
+        return _float_key(value) if self.numeric else value
+
+    # -- read side ---------------------------------------------------
 
     def seek(self, lo: Any, lo_strict: bool, hi: Any, hi_strict: bool) -> np.ndarray:
         """Node ids whose value satisfies both bounds (None = unbounded).
@@ -234,7 +317,7 @@ class _FamilyStore:
                 return False
             return True
 
-        keys = self.keys
+        keys, raw = self.cols[0], self.cols[-1]
         n = len(keys)
         start, stop = 0, n
         fuzzy_runs: List[Tuple[int, int]] = []
@@ -275,62 +358,24 @@ class _FamilyStore:
                 if (start <= i < stop) or i in seen:
                     continue
                 seen.add(i)
-                if in_range(self._raw_at(i)):
+                if in_range(raw[i]):
                     hits.append(self.ids[i : i + 1])
-        base = np.concatenate(hits) if len(hits) > 1 else hits[0]
-        if self.dels and len(base):
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            base = base[~np.isin(base, dead)]
-        if self.adds:
-            extra = [nid for _k, v, nid in self.adds if in_range(v)]
-            if extra:
-                base = np.concatenate([base, np.asarray(extra, dtype=_I64)])
-        return np.unique(base)
+        return self.visible(np.concatenate(hits) if len(hits) > 1 else hits[0], in_range)
 
     def seek_prefix(self, prefix: str) -> np.ndarray:
         upper = _prefix_upper(prefix)
-        keys = self.keys
+        keys = self.cols[0]
         start = int(np.searchsorted(keys, prefix, side="left"))
         stop = len(keys) if upper is None else int(np.searchsorted(keys, upper, side="left"))
-        base = self.ids[start : max(stop, start)]
-        if self.dels and len(base):
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            base = base[~np.isin(base, dead)]
-        extra = [nid for _k, v, nid in self.adds if v.startswith(prefix)]
-        if extra:
-            base = np.concatenate([base, np.asarray(extra, dtype=_I64)])
-        return np.unique(base)
-
-    def distinct_keys(self) -> int:
-        base = len(np.unique(self.keys)) if len(self.keys) else 0
-        return base + len(self.adds)
+        return self.visible(self.ids[start : max(stop, start)], lambda v: v.startswith(prefix))
 
     def ordered_ids(self, ascending: bool) -> np.ndarray:
         """Every live id in key order, equal keys broken toward the lower
-        node id (Cypher ORDER BY stability over an ascending-id scan).
-        Read-only: the pending overlay is merged into the view, never
-        into the arrays, so this is safe under the query read lock."""
-        keys, ids, raw = self.keys, self.ids, self.raw
-        if self.dels:
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            keep = ~np.isin(ids, dead)
-            keys, ids = keys[keep], ids[keep]
-            if self.numeric:
-                raw = raw[keep]
-        if self.adds:
-            if self.numeric:
-                akeys = np.array([k for k, _v, _n in self.adds], dtype=np.float64)
-                araw = np.empty(len(self.adds), dtype=object)
-                araw[:] = [v for _k, v, _n in self.adds]
-                raw = np.concatenate([raw, araw])
-            else:
-                akeys = np.empty(len(self.adds), dtype=object)
-                akeys[:] = [k for k, _v, _n in self.adds]
-            aids = np.asarray([n for _k, _v, n in self.adds], dtype=_I64)
-            keys = np.concatenate([keys, akeys])
-            ids = np.concatenate([ids, aids])
+        node id (Cypher ORDER BY stability over an ascending-id scan)."""
+        ids, cols = self.view()
         if not len(ids):
             return _EMPTY_IDS
+        keys = cols[0]
         if not self.numeric:
             # object keys (strings / booleans): np.lexsort can't take
             # them, but their unique-inverse codes order identically
@@ -338,8 +383,7 @@ class _FamilyStore:
             order = np.lexsort((ids, codes if ascending else -codes))
             return ids[order].astype(_I64)
         order = np.lexsort((ids, keys if ascending else -keys))
-        keys, ids = keys[order], ids[order]
-        raw = raw[order]
+        keys, ids, raw = keys[order], ids[order], cols[1][order]
         out = ids.astype(_I64)
         # fuzzy float keys (big ints, ±inf) collapse distinct raw values
         # onto one sort key — re-rank those runs by exact raw comparison
@@ -361,25 +405,17 @@ class RangeIndex:
     """Sorted-array range index over one ``:Label(attribute)`` pair.
 
     Serves equality, one- and two-sided ranges, ``IN`` lists and string
-    prefixes as sorted unique node-id batches.  ``lookup`` keeps the
-    historical exact-match surface (a ``set`` of ids).
+    prefixes as sorted unique node-id batches.
     """
 
     kind = "range"
 
-    __slots__ = ("label_id", "attr_id", "_fams", "_size", "_threshold")
+    __slots__ = ("label_id", "attr_id", "_fams")
 
-    def __init__(
-        self,
-        label_id: int = -1,
-        attr_id: int = -1,
-        merge_threshold: int = DEFAULT_MERGE_THRESHOLD,
-    ) -> None:
+    def __init__(self, label_id: int = -1, attr_id: int = -1) -> None:
         self.label_id = label_id
         self.attr_id = attr_id
         self._fams: Dict[int, _FamilyStore] = {}
-        self._size = 0
-        self._threshold = max(1, merge_threshold)
 
     @property
     def attr_ids(self) -> Tuple[int, ...]:
@@ -397,25 +433,14 @@ class RangeIndex:
         family = _family_of(value)
         if family is None:
             return False
-        store = self._fam(family)
-        store.add(value, int(node_id))
-        self._size += 1
-        if store.pending() >= self._threshold:
-            store.merge()
+        self._fam(family).add(int(node_id), value)
         return True
 
     def remove(self, value: Any, node_id: int) -> None:
         family = _family_of(value)
-        if family is None:
-            return
-        store = self._fams.get(family)
-        if store is None:
-            return
-        nid = int(node_id)
-        if store.discard_pending(nid) or store.delete_from_base(value, nid):
-            self._size -= 1
-            if store.pending() >= self._threshold:
-                store.merge()
+        store = self._fams.get(family) if family is not None else None
+        if store is not None:
+            store.drop(int(node_id), store.sort_key(value))
 
     def index_node(self, node_id: int, props: Dict[int, Any]) -> bool:
         value = props.get(self.attr_id)
@@ -427,7 +452,7 @@ class RangeIndex:
             self.remove(value, node_id)
 
     def bulk_insert(self, values: Sequence[Any], ids: Sequence[int]) -> int:
-        """Vectorized backfill: classify into families, append, one sort."""
+        """Vectorized backfill: classify into families, one sort each."""
         buckets: Dict[int, Tuple[List[Any], List[int]]] = {}
         for value, nid in zip(values, ids):
             family = _family_of(value)
@@ -436,16 +461,13 @@ class RangeIndex:
             vals, nids = buckets.setdefault(family, ([], []))
             vals.append(value)
             nids.append(int(nid))
-        added = 0
         for family, (vals, nids) in buckets.items():
-            self._fam(family).bulk_build(vals, nids)
-            added += len(vals)
-        self._size += added
-        return added
+            self._fam(family).bulk(nids, vals)
+        return sum(len(vals) for vals, _ in buckets.values())
 
-    def merge(self) -> None:
+    def fold(self) -> None:
         for store in self._fams.values():
-            store.merge()
+            store.fold()
 
     # -- read side ---------------------------------------------------
 
@@ -505,15 +527,11 @@ class RangeIndex:
             return _EMPTY_IDS
         return np.unique(np.concatenate(hits))
 
-    def lookup(self, value: Any) -> Set[int]:
-        """Exact-match probe as a set of node ids (historical surface)."""
-        return set(int(i) for i in self.seek_eq(value))
-
     def ordered_ids(self, ascending: bool = True) -> np.ndarray:
         """Every indexed id in ORDER BY value order: type families ranked
         as Cypher's mixed-type total order (strings < booleans < numbers),
         values ordered within each family, equal values broken toward the
-        lower node id.  Never merges — safe under the query read lock."""
+        lower node id.  Never folds — safe under the query read lock."""
         families = (_F_STR, _F_BOOL, _F_NUM)
         if not ascending:
             families = tuple(reversed(families))
@@ -532,12 +550,12 @@ class RangeIndex:
     # -- introspection -----------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return sum(store.live for store in self._fams.values())
 
     def ndv(self) -> int:
         """Approximate number of distinct keys (pending adds counted as
-        distinct; never forces a merge, so it is read-safe)."""
-        if not self._size:
+        distinct; never folds, so it is read-safe)."""
+        if not len(self):
             return 0
         return max(1, sum(s.distinct_keys() for s in self._fams.values()))
 
@@ -545,14 +563,14 @@ class RangeIndex:
         """Up to ``k`` evenly spaced sorted float keys from the numeric
         family — the cost model's rank-query material."""
         store = self._fams.get(_F_NUM)
-        if store is None or not len(store.keys):
+        if store is None or not len(store.ids):
             return None
-        n = len(store.keys)
-        take = np.linspace(0, n - 1, num=min(k, n)).astype(np.int64)
-        return store.keys[take].astype(np.float64)
+        keys = store.cols[0]
+        take = np.linspace(0, len(keys) - 1, num=min(k, len(keys))).astype(np.int64)
+        return keys[take]
 
     def __repr__(self) -> str:
-        return f"<RangeIndex label={self.label_id} attr={self.attr_id} entries={self._size}>"
+        return f"<RangeIndex label={self.label_id} attr={self.attr_id} entries={len(self)}>"
 
 
 class _Top:
@@ -595,15 +613,7 @@ def _enc_value(value: Any) -> Optional[Tuple[int, Any]]:
     return (family, value)
 
 
-def _tuple_search(keys: np.ndarray, key: Tuple, side: str) -> int:
-    """searchsorted for one tuple key in an object array — the tuple must
-    be boxed, or numpy unpacks it into several probe values."""
-    probe = np.empty(1, dtype=object)
-    probe[0] = key
-    return int(np.searchsorted(keys, probe, side=side)[0])
-
-
-class CompositeIndex:
+class CompositeIndex(_Overlay):
     """Sorted index over an ordered attribute tuple; equality on any
     leading prefix of the tuple is one binary-search slice.  A node is
     indexed under its longest indexable *prefix* of the attribute tuple
@@ -613,22 +623,12 @@ class CompositeIndex:
 
     kind = "composite"
 
-    __slots__ = ("label_id", "attr_ids", "keys", "ids", "adds", "dels", "_size", "_threshold")
+    __slots__ = ("label_id", "attr_ids")
 
-    def __init__(
-        self,
-        label_id: int,
-        attr_ids: Tuple[int, ...],
-        merge_threshold: int = DEFAULT_MERGE_THRESHOLD,
-    ) -> None:
+    def __init__(self, label_id: int, attr_ids: Tuple[int, ...]) -> None:
+        super().__init__(np.empty(0, dtype=object))  # sorted encoded tuples
         self.label_id = label_id
         self.attr_ids = tuple(attr_ids)
-        self.keys = np.empty(0, dtype=object)  # sorted encoded tuples
-        self.ids = _EMPTY_IDS
-        self.adds: List[Tuple[Tuple, int]] = []
-        self.dels: Set[int] = set()
-        self._size = 0
-        self._threshold = max(1, merge_threshold)
 
     def _encode(self, props: Dict[int, Any]) -> Optional[Tuple]:
         key: List[Tuple[int, Any]] = []
@@ -645,31 +645,13 @@ class CompositeIndex:
         key = self._encode(props)
         if key is None:
             return False
-        self.adds.append((key, int(node_id)))
-        self._size += 1
-        self._maybe_merge()
+        self.add(int(node_id), key)
         return True
 
     def unindex_node(self, node_id: int, props: Dict[int, Any]) -> None:
         key = self._encode(props)
-        if key is None:
-            return
-        nid = int(node_id)
-        for i, (_k, aid) in enumerate(self.adds):
-            if aid == nid:
-                del self.adds[i]
-                self._size -= 1
-                return
-        if nid in self.dels:
-            return
-        lo = _tuple_search(self.keys, key, "left")
-        hi = _tuple_search(self.keys, key, "right")
-        for i in range(lo, hi):
-            if int(self.ids[i]) == nid:
-                self.dels.add(nid)
-                self._size -= 1
-                self._maybe_merge()
-                return
+        if key is not None:
+            self.drop(int(node_id), key)
 
     def bulk_insert(self, rows: Sequence[Dict[int, Any]], ids: Sequence[int]) -> int:
         keys: List[Tuple] = []
@@ -679,40 +661,8 @@ class CompositeIndex:
             if key is not None:
                 keys.append(key)
                 nids.append(int(nid))
-        if not keys:
-            return 0
-        self.merge()
-        akeys = np.empty(len(keys), dtype=object)
-        akeys[:] = keys
-        all_keys = np.concatenate([self.keys, akeys])
-        all_ids = np.concatenate([self.ids, np.asarray(nids, dtype=_I64)])
-        order = np.argsort(all_keys, kind="stable")
-        self.keys, self.ids = all_keys[order], all_ids[order]
-        self._size += len(keys)
+        self.bulk(nids, keys)
         return len(keys)
-
-    def _maybe_merge(self) -> None:
-        if len(self.adds) + len(self.dels) >= self._threshold:
-            self.merge()
-
-    def merge(self) -> None:
-        if not self.adds and not self.dels:
-            return
-        keys, ids = self.keys, self.ids
-        if self.dels:
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            keep = ~np.isin(ids, dead)
-            keys, ids = keys[keep], ids[keep]
-        if self.adds:
-            akeys = np.empty(len(self.adds), dtype=object)
-            akeys[:] = [k for k, _n in self.adds]
-            aids = np.asarray([n for _k, n in self.adds], dtype=_I64)
-            keys = np.concatenate([keys, akeys])
-            ids = np.concatenate([ids, aids])
-            order = np.argsort(keys, kind="stable")
-            keys, ids = keys[order], ids[order]
-        self.keys, self.ids = keys, ids
-        self.adds, self.dels = [], set()
 
     # -- read side ---------------------------------------------------
 
@@ -728,33 +678,19 @@ class CompositeIndex:
                 return _EMPTY_IDS
             prefix.append(enc)
         lo_key = tuple(prefix)
-        hi_key = tuple(prefix) + (_TOP,)
-        start = _tuple_search(self.keys, lo_key, "left")
-        stop = _tuple_search(self.keys, hi_key, "left")
-        base = self.ids[start : max(stop, start)]
-        if self.dels and len(base):
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            base = base[~np.isin(base, dead)]
-        if self.adds:
-            width = len(lo_key)
-            extra = [nid for key, nid in self.adds if key[:width] == lo_key]
-            if extra:
-                base = np.concatenate([base, np.asarray(extra, dtype=_I64)])
-        return np.unique(base)
+        width = len(lo_key)
+        keys = self.cols[0]
+        start = _search(keys, lo_key, "left")
+        stop = _search(keys, lo_key + (_TOP,), "left")
+        return self.visible(self.ids[start : max(stop, start)], lambda key: key[:width] == lo_key)
 
     # -- introspection -----------------------------------------------
 
-    def __len__(self) -> int:
-        return self._size
-
     def ndv(self) -> int:
-        if not self._size:
-            return 0
-        base = len(np.unique(self.keys)) if len(self.keys) else 0
-        return max(1, base + len(self.adds))
+        return max(1, self.distinct_keys()) if self.live else 0
 
     def __repr__(self) -> str:
-        return f"<CompositeIndex label={self.label_id} attrs={self.attr_ids} entries={self._size}>"
+        return f"<CompositeIndex label={self.label_id} attrs={self.attr_ids} entries={self.live}>"
 
 
 #: training subsample: this many points per centroid (bounds Lloyd's cost)
@@ -800,12 +736,13 @@ def _nearest_centroid(mat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-class VectorIndex:
+class VectorIndex(_Overlay):
     """Cosine top-k with an IVF (inverted-file) fast path.
 
     Values are lists of finite numbers with the configured dimension;
     anything else is simply not indexed.  A flat L2-normalized matrix is
-    always maintained — it is the exact brute-force path (one matmul plus
+    always maintained as the overlay's base (appended, never sorted) — it
+    is the exact brute-force path (one matmul plus
     a sort, ties broken toward the lower node id), serving every query
     while the index is untrained (fewer than ``train_min`` rows, or
     ``exact=True``) and remaining the differential-testing oracle after
@@ -817,17 +754,13 @@ class VectorIndex:
     bucket layout exactly."""
 
     kind = "vector"
+    sorted = False
 
     __slots__ = (
         "label_id",
         "attr_id",
         "dim",
         "similarity",
-        "_mat",
-        "_ids",
-        "adds",
-        "dels",
-        "_threshold",
         "exact",
         "nlist_opt",
         "nprobe_opt",
@@ -846,7 +779,6 @@ class VectorIndex:
         attr_id: int,
         dim: Optional[int] = None,
         similarity: str = "cosine",
-        merge_threshold: int = DEFAULT_MERGE_THRESHOLD,
         *,
         nlist: Optional[int] = None,
         nprobe: Optional[int] = None,
@@ -860,11 +792,7 @@ class VectorIndex:
         self.attr_id = attr_id
         self.dim = int(dim) if dim is not None else None
         self.similarity = similarity
-        self._mat = np.empty((0, self.dim or 0), dtype=np.float64)
-        self._ids = _EMPTY_IDS
-        self.adds: List[Tuple[int, np.ndarray]] = []
-        self.dels: Set[int] = set()
-        self._threshold = max(1, merge_threshold)
+        super().__init__(np.empty((0, self.dim or 0), dtype=np.float64))
         self.exact = bool(exact)
         self.nlist_opt = int(nlist) if nlist is not None else None
         self.nprobe_opt = int(nprobe) if nprobe is not None else None
@@ -931,7 +859,7 @@ class VectorIndex:
             return None
         if self.dim is None:
             self.dim = len(vec)
-            self._mat = np.empty((0, self.dim), dtype=np.float64)
+            self.cols = (np.empty((0, self.dim), dtype=np.float64),)
         if len(vec) != self.dim:
             return None
         norm = float(np.linalg.norm(vec))
@@ -943,55 +871,31 @@ class VectorIndex:
         vec = self._coerce(props.get(self.attr_id))
         if vec is None:
             return False
-        self.adds.append((int(node_id), vec))
-        self._maybe_merge()
+        self.add(int(node_id), vec)
         return True
 
     def unindex_node(self, node_id: int, props: Dict[int, Any]) -> None:
-        nid = int(node_id)
-        for i, (aid, _v) in enumerate(self.adds):
-            if aid == nid:
-                del self.adds[i]
-                return
-        if len(self._ids) and nid not in self.dels and bool(np.any(self._ids == nid)):
-            self.dels.add(nid)
-            self._maybe_merge()
+        self.drop(int(node_id))
 
     def bulk_insert(self, values: Sequence[Any], ids: Sequence[int]) -> int:
-        added = 0
+        vecs: List[np.ndarray] = []
+        nids: List[int] = []
         for value, nid in zip(values, ids):
             vec = self._coerce(value)
             if vec is not None:
-                self.adds.append((int(nid), vec))
-                added += 1
-        self.merge()
-        return added
+                vecs.append(vec)
+                nids.append(int(nid))
+        self.bulk(nids, vecs)
+        return len(vecs)
 
-    def _maybe_merge(self) -> None:
-        if len(self.adds) + len(self.dels) >= self._threshold:
-            self.merge()
-
-    def merge(self) -> None:
-        """Fold the pending tail into the flat matrix (and, when trained,
-        into the centroid buckets), then re-evaluate the training policy."""
-        if not self.adds and not self.dels:
-            return
-        mat, ids = self._mat, self._ids
-        if self.dels:
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            keep = ~np.isin(ids, dead)
-            mat, ids = mat[keep], ids[keep]
-            if self._centroids is not None:
+    def _folded(self, dead: np.ndarray, ids: np.ndarray, cols: Tuple[np.ndarray, ...]) -> None:
+        """Carry the fold into the centroid buckets when trained, then
+        re-evaluate the training policy."""
+        if self._centroids is not None:
+            if len(dead):
                 self._drop_from_buckets(dead)
-        if self.adds:
-            amat = np.vstack([v for _n, v in self.adds])
-            aids = np.asarray([n for n, _v in self.adds], dtype=_I64)
-            mat = np.vstack([mat, amat]) if len(ids) else amat
-            ids = np.concatenate([ids, aids])
-            if self._centroids is not None:
-                self._append_to_buckets(aids, amat)
-        self._mat, self._ids = mat, ids
-        self.adds, self.dels = [], set()
+            if len(ids):
+                self._append_to_buckets(ids, cols[0])
         self._maybe_train()
 
     # -- IVF layout ----------------------------------------------------
@@ -1005,7 +909,7 @@ class VectorIndex:
         refresh derived read state)."""
         if self.exact:
             return
-        n = len(self._ids)
+        n = len(self.ids)
         if self._centroids is None:
             if n >= self._train_min:
                 self._train()
@@ -1030,7 +934,7 @@ class VectorIndex:
         a concurrent reader sees either the old layout or the new one.
         ``warm=True`` seeds Lloyd's from the current centroids instead of
         k-means++ — the incremental re-clustering path."""
-        mat, ids = self._mat, self._ids
+        mat, ids = self.cols[0], self.ids
         n = len(ids)
         if n == 0:
             self._centroids = None
@@ -1072,7 +976,8 @@ class VectorIndex:
         centroids), which is how snapshot restore reproduces the layout
         without re-running Lloyd's."""
         centroids = np.ascontiguousarray(centroids, dtype=np.float64)
-        assign = _nearest_centroid(self._mat, centroids)
+        mat = self.cols[0]
+        assign = _nearest_centroid(mat, centroids)
         order = np.argsort(assign, kind="stable")
         sorted_assign = assign[order]
         bounds = np.searchsorted(sorted_assign, np.arange(len(centroids) + 1))
@@ -1080,12 +985,12 @@ class VectorIndex:
         bucket_mats: List[np.ndarray] = []
         for c in range(len(centroids)):
             sl = order[bounds[c] : bounds[c + 1]]
-            bucket_ids.append(self._ids[sl].copy())
-            bucket_mats.append(np.ascontiguousarray(self._mat[sl]))
+            bucket_ids.append(self.ids[sl].copy())
+            bucket_mats.append(np.ascontiguousarray(mat[sl]))
         self._centroids = centroids
         self._bucket_ids = bucket_ids
         self._bucket_mats = bucket_mats
-        self._trained_size = len(self._ids)
+        self._trained_size = len(self.ids)
 
     def _append_to_buckets(self, aids: np.ndarray, amat: np.ndarray) -> None:
         assign = _nearest_centroid(amat, self._centroids)
@@ -1139,16 +1044,7 @@ class VectorIndex:
     def _query_flat(self, q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """The brute-force path — PR 9's exact scan, preserved verbatim as
         the differential-testing oracle."""
-        mat, ids = self._mat, self._ids
-        if self.dels and len(ids):
-            dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-            keep = ~np.isin(ids, dead)
-            mat, ids = mat[keep], ids[keep]
-        if self.adds:
-            amat = np.vstack([v for _n, v in self.adds])
-            aids = np.asarray([n for n, _v in self.adds], dtype=_I64)
-            mat = np.vstack([mat, amat]) if len(ids) else amat
-            ids = np.concatenate([ids, aids])
+        ids, (mat,) = self.view()
         if not len(ids) or k <= 0:
             return _EMPTY_IDS, np.empty(0, dtype=np.float64)
         scores = mat @ q
@@ -1180,14 +1076,13 @@ class VectorIndex:
                 score_parts.append(self._bucket_mats[int(c)] @ q)
         ids = np.concatenate(id_parts) if id_parts else _EMPTY_IDS
         scores = np.concatenate(score_parts) if score_parts else np.empty(0, dtype=np.float64)
-        if self.dels and len(ids):
-            keep = ~np.isin(ids, np.fromiter(self.dels, dtype=_I64, count=len(self.dels)))
+        keep = self._live_mask(ids)
+        if keep is not None:
             ids, scores = ids[keep], scores[keep]
         if self.adds:
-            # the unmerged tail is always scanned exactly — fresh writes
+            # the unfolded tail is always scanned exactly — fresh writes
             # are visible at full recall before any fold
-            amat = np.vstack([v for _n, v in self.adds])
-            aids = np.asarray([n for n, _v in self.adds], dtype=_I64)
+            aids, (amat,) = self.pending()
             ids = np.concatenate([ids, aids])
             scores = np.concatenate([scores, amat @ q])
         if not len(ids):
@@ -1197,11 +1092,8 @@ class VectorIndex:
 
     # -- introspection -----------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._ids) - len(self.dels) + len(self.adds)
-
     def ndv(self) -> int:
-        return len(self)
+        return self.live
 
     def __repr__(self) -> str:
         layout = f"ivf[{self.nlist}]" if self.trained else ("exact" if self.exact else "flat")

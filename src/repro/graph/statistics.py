@@ -153,7 +153,6 @@ class GraphStatistics:
         "edge_count",
         "label_counts",
         "rels",
-        "indexes",
         "index_details",
     )
 
@@ -165,7 +164,6 @@ class GraphStatistics:
         edge_count: int,
         label_counts: Mapping[str, int],
         rels: Mapping[str, RelTypeStats],
-        indexes: Mapping[Tuple[str, str], Tuple[int, int]],
         index_details: Optional[Mapping[Tuple[str, Tuple[str, ...], str], dict]] = None,
     ) -> None:
         self.epoch = epoch
@@ -174,7 +172,6 @@ class GraphStatistics:
         self.edge_count = edge_count
         self.label_counts = dict(label_counts)
         self.rels = dict(rels)
-        self.indexes = dict(indexes)  # (label, attr) -> (size, ndv)
         # (label, attr-name tuple, kind) -> {"size", "ndv", "sample"}
         # where sample is a sorted float64 array of numeric range-index
         # keys (the cost model's rank-query material), or None
@@ -348,10 +345,6 @@ class StatisticsStore:
                 tuple(rel.out_hist),
                 tuple(rel.in_hist),
             )
-        indexes = {
-            (schema.label_name(lid), graph.attrs.name_of(aid)): (len(index), index.ndv())
-            for (lid, aid), index in graph._indices.items()
-        }
         index_details = {}
         for index in graph._all_indexes():
             key = (
@@ -379,7 +372,6 @@ class StatisticsStore:
             edge_count=graph.edge_count,
             label_counts=label_counts,
             rels=rels,
-            indexes=indexes,
             index_details=index_details,
         )
 

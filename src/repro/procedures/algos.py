@@ -77,9 +77,14 @@ def _pagerank(graph, reltype, damping, tol, max_iter) -> Sequence[Sequence[Any]]
         raise CypherTypeError("procedure algo.pagerank: damping must be in [0, 1)")
     if max_iter <= 0:
         raise CypherTypeError("procedure algo.pagerank: maxIter must be positive")
-    ranks = pagerank(_adjacency(graph, reltype), damping=damping, tol=tol, max_iter=max_iter)
-    ids, vals = _live_filter(graph, *ranks.to_coo())
-    return [ids, vals]
+    ranks = pagerank(
+        _adjacency(graph, reltype),
+        damping=damping,
+        tol=tol,
+        max_iter=max_iter,
+        nodes=graph.all_node_ids(),
+    )
+    return list(ranks.to_coo())
 
 
 def _wcc(graph, reltype) -> Sequence[Sequence[Any]]:

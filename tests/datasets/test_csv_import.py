@@ -110,5 +110,5 @@ class TestImport:
         db.query("CREATE INDEX ON :P(name)")
         people = write(tmp_path, "p.csv", "id,name\na,ann\nb,bo\n")
         import_csv(db, nodes={"P": people})
-        assert "NodeByIndexScan" in db.explain("MATCH (n:P {name: 'bo'}) RETURN n")
+        assert "IndexRangeScan" in db.explain("MATCH (n:P {name: 'bo'}) RETURN n")
         assert db.query("MATCH (n:P {name: 'bo'}) RETURN n.id").scalar() == "b"

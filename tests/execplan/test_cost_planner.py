@@ -105,7 +105,7 @@ class TestPlanChoices:
         db.query("CREATE INDEX ON :Item(cat)")
         db.query("CREATE INDEX ON :Item(sku)")
         plan = db.explain("MATCH (n:Item {cat: 1, sku: 7}) RETURN n")
-        assert "NodeByIndexScan | (n:Item {sku})" in plan
+        assert "IndexRangeScan | (n:Item) [range: n.sku = 7]" in plan
 
     def test_rule_planner_reproduced_when_off(self, skewed):
         """The knob's contract: off must reproduce today's rule-based

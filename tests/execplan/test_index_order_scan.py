@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro import GraphDB
-from repro.graph.config import GraphConfig
 
 SEEDS = [5, 21, 77]
 
@@ -19,7 +18,7 @@ SEEDS = [5, 21, 77]
 def build_pair(seed):
     """Two graphs with identical data; only one has the index."""
     rng = random.Random(seed)
-    fast = GraphDB("fast", GraphConfig(index_merge_threshold=4))
+    fast = GraphDB("fast")
     slow = GraphDB("slow")
     fast.query("CREATE INDEX ON :P(v)")
     values = []
@@ -64,16 +63,18 @@ QUERIES = [
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fast_path_matches_sort(self, seed):
+    def test_fast_path_matches_sort(self, seed, fold_at):
+        fold_at(4)
         fast, slow = build_pair(seed)
         for q in QUERIES:
             assert "IndexOrderScan" in fast.explain(q), q
             assert "IndexOrderScan" not in slow.explain(q), q
             assert fast.query(q).rows == slow.query(q).rows, q
 
-    def test_order_is_total_including_unindexed_nodes(self):
+    def test_order_is_total_including_unindexed_nodes(self, fold_at):
         """Nodes missing the attribute (and non-scalar values) still appear,
         in the same type-class positions Sort gives them."""
+        fold_at(4)
         fast, slow = build_pair(99)
         q = "MATCH (n:P) RETURN id(n) ORDER BY n.v"
         assert fast.query(q).rows == slow.query(q).rows

@@ -1,10 +1,11 @@
 """Differential net over index seeks: with secondary indexes present the
-engine routes WHERE conjuncts through :class:`IndexRangeScan`; without
-them it filters a label scan.  Both worlds must return identical rows for
-every predicate shape the seek layer claims to serve — equality, one- and
-two-sided ranges, string prefixes, ``IN`` lists, composite prefixes,
-cross-type and null probes — under create/update/delete/bulk workloads,
-at scalar and batched execution, with both planners."""
+engine routes WHERE conjuncts and inline-map entries through
+:class:`IndexRangeScan`; without them it filters a label scan.  Both
+worlds must return identical rows for every predicate shape the seek
+layer claims to serve — equality, one- and two-sided ranges, string
+prefixes, ``IN`` lists, composite prefixes, cross-type, null and
+list-valued probes — under create/update/delete/bulk workloads, at
+scalar and batched execution, with both planners."""
 
 import random
 
@@ -39,6 +40,13 @@ QUERIES = [
     "MATCH (n:P) WHERE n.v = 3 OR n.name = 'u5' RETURN id(n)",     # OR: no seek, still equal
     "MATCH (n:P)-[:R]->(m) WHERE n.v = 3 RETURN id(n), id(m)",     # seek under expand
     "MATCH (n:P) WHERE n.v = 3 RETURN count(n)",
+    "MATCH (n:P {v: 3}) RETURN id(n)",                             # inline-map seek
+    "MATCH (n:P {v: 3.0, name: 'u1tail'}) RETURN id(n)",
+    "MATCH (n:P {g: 1, name: 'u3'}) RETURN id(n)",                 # inline map, composite
+    "MATCH (n:P {g: 1}) WHERE n.v > 2 RETURN id(n)",               # inline map + WHERE
+    "MATCH (n:P {v: [1, 2]}) RETURN count(n)",                     # list probe -> fallback
+    ("MATCH (n:P {v: $x}) RETURN count(n)", {"x": [1, 2]}),
+    ("MATCH (n:P {v: $x}) RETURN count(n)", {"x": 3}),
 ]
 
 INDEX_DDL = [
@@ -83,12 +91,11 @@ def run_workload(db: GraphDB, seed: int, bulk: bool) -> None:
     for nid in rng.sample(range(count), 5):
         db.query("MATCH (n:P) WHERE id(n) = $i DETACH DELETE n", {"i": nid})
     db.query("CREATE (:P {v: 3, name: 'u1tail', g: 1})")
+    db.query("CREATE (:P {v: [1, 2], name: 'u1list', g: 1})")  # lists are never indexed
 
 
-def build(seed, bulk, indexed, *, batch=1024, cost=1, merge_threshold=512):
-    cfg = GraphConfig(exec_batch_size=batch, cost_based_planner=cost,
-                      index_merge_threshold=merge_threshold)
-    db = GraphDB("diff", cfg)
+def build(seed, bulk, indexed, *, batch=1024, cost=1):
+    db = GraphDB("diff", GraphConfig(exec_batch_size=batch, cost_based_planner=cost))
     if indexed == "before":
         for ddl in INDEX_DDL:
             db.query(ddl)
@@ -99,26 +106,48 @@ def build(seed, bulk, indexed, *, batch=1024, cost=1, merge_threshold=512):
     return db
 
 
+def rows(db, query):
+    """Sorted result rows of one QUERIES entry (a query, or a query and
+    its parameters)."""
+    q, params = (query, None) if isinstance(query, str) else query
+    return sorted(db.query(q, params).rows)
+
+
 class TestIndexOnOffDifferential:
     @pytest.mark.parametrize("cost", [0, 1], ids=["rule", "cost"])
     @pytest.mark.parametrize("batch", [1, 1024], ids=["scalar", "batched"])
     @pytest.mark.parametrize("bulk", [False, True], ids=["per-row", "bulk"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_indexed_equals_unindexed(self, seed, bulk, batch, cost):
+    def test_indexed_equals_unindexed(self, seed, bulk, batch, cost, fold_at):
+        fold_at(8)
         plain = build(seed, bulk, indexed=None, batch=batch, cost=cost)
-        seek = build(seed, bulk, indexed="before", batch=batch, cost=cost,
-                     merge_threshold=8)
+        seek = build(seed, bulk, indexed="before", batch=batch, cost=cost)
         for q in QUERIES:
-            assert sorted(seek.query(q).rows) == sorted(plain.query(q).rows), q
+            assert rows(seek, q) == rows(plain, q), q
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_index_created_after_workload(self, seed):
+    def test_index_created_after_workload(self, seed, fold_at):
         """Backfill path: indexes created over existing data answer like
         indexes that watched every write."""
-        before = build(seed, True, indexed="before", merge_threshold=4)
-        after = build(seed, True, indexed="after", merge_threshold=4)
+        fold_at(4)
+        before = build(seed, True, indexed="before")
+        after = build(seed, True, indexed="after")
         for q in QUERIES:
-            assert sorted(before.query(q).rows) == sorted(after.query(q).rows), q
+            assert rows(before, q) == rows(after, q), q
+
+    @pytest.mark.parametrize("cost", [0, 1], ids=["rule", "cost"])
+    def test_merge_twice_on_a_list_value(self, cost):
+        """MERGE matches a list-valued node the index never holds, so a
+        second run creates nothing — with and without the index."""
+        plain = build(1, False, indexed=None, cost=cost)
+        seek = build(1, False, indexed="before", cost=cost)
+        for db in (plain, seek):
+            for _ in range(2):
+                db.query("MERGE (:P {v: [1, 2]})")
+            db.query("MERGE (:P {v: [3]})")
+            db.query("MERGE (:P {v: [3]})")
+        count = "MATCH (n:P) WHERE n.v = [1, 2] OR n.v = [3] RETURN count(n)"
+        assert seek.query(count).scalar() == plain.query(count).scalar() == 2
 
     @pytest.mark.parametrize("cost", [0, 1], ids=["rule", "cost"])
     def test_in_type_error_parity(self, cost):
@@ -132,6 +161,10 @@ class TestIndexOnOffDifferential:
 
     def test_seek_plan_shapes(self):
         db = build(1, False, indexed="before")
+        inline = db.explain("MATCH (n:P {v: 3}) RETURN n")
+        assert "IndexRangeScan | (n:P) [range: n.v = 3]" in inline
+        inline_comp = db.explain("MATCH (n:P {g: 1, name: 'u3'}) RETURN n")
+        assert "[composite: n.g = 1, n.name = 'u3']" in inline_comp
         plan = db.explain("MATCH (n:P) WHERE n.v > 2 RETURN n")
         assert "IndexRangeScan" in plan and "range: n.v > 2" in plan
         assert "est_rows" in plan

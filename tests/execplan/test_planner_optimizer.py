@@ -43,13 +43,13 @@ class TestAccessPaths:
     def test_index_scan_after_create_index(self, db):
         db.query("CREATE INDEX ON :Person(name)")
         plan = db.explain("MATCH (n:Person {name: 'A'}) RETURN n")
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
 
     def test_anchor_prefers_indexed_side(self, db):
         db.query("CREATE INDEX ON :Person(name)")
         plan = db.explain("MATCH (c:City)<-[:LIVES_IN]-(p:Person {name: 'A'}) RETURN c")
         # the Person side has an index: scan starts there, traverses backwards
-        assert plan.index("NodeByIndexScan") > plan.index("ConditionalTraverse")
+        assert plan.index("IndexRangeScan") > plan.index("ConditionalTraverse")
 
 
 class TestTraverseShapes:

@@ -211,14 +211,14 @@ class TestBookkeepingRegressions:
         idx = g.create_index("P", "name")
         load_nodes(g, 3, "P", properties={"name": ["x", "y", "x"]})
         assert len(idx) == 3
-        assert idx.lookup("x") == {0, 2}
+        assert idx.seek_eq("x").tolist() == [0, 2]
 
     def test_bulk_insert_backfills_existing_index(self):
         db = GraphDB("idx", GraphConfig(node_capacity=16))
         db.query("CREATE INDEX ON :P(name)")
         db.bulk_insert(nodes=[{"labels": ["P"], "properties": {"name": ["ann", "bo"]}}])
         # the planner must both choose the index and find the bulk rows
-        assert "NodeByIndexScan" in db.explain("MATCH (n:P {name: 'ann'}) RETURN n")
+        assert "IndexRangeScan" in db.explain("MATCH (n:P {name: 'ann'}) RETURN n")
         assert db.query("MATCH (n:P {name: 'ann'}) RETURN count(n)").scalar() == 1
 
     def test_unindexable_bulk_values_skipped(self, g):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import GraphDB
-from repro.graph.config import GraphConfig
 from repro.graph.index import (
     CompositeIndex,
     RangeIndex,
@@ -40,7 +39,6 @@ class TestTypeFamilies:
         assert ids(idx.seek_eq(1)) == [2, 3]
         assert ids(idx.seek_eq(1.0)) == [2, 3]
         assert ids(idx.seek_eq(0)) == [5]
-        assert idx.lookup(True) == {1}
 
     def test_string_one_is_its_own_family(self):
         idx = RangeIndex()
@@ -72,7 +70,7 @@ class TestNullExclusion:
         assert not idx.insert(None, 1)
         assert not idx.insert(float("nan"), 2)
         assert len(idx) == 0
-        assert idx.lookup(None) == set()
+        assert ids(idx.seek_eq(None)) == []
 
     def test_null_probe_equals_scan_result(self):
         """`n.v = null` is Cypher-null, never true: an index seek and a
@@ -100,7 +98,7 @@ class TestBigInts:
         idx = RangeIndex()
         for off in range(4):
             idx.insert(base + off, off)
-        idx.merge()
+        idx.fold()
         assert ids(idx.seek_eq(base)) == [0]
         assert ids(idx.seek_eq(base + 1)) == [1]
         assert ids(idx.seek_eq(base + 3)) == [3]
@@ -112,43 +110,184 @@ class TestBigInts:
         idx.insert(10 ** 400, 1)  # overflows float()
         idx.insert(-(10 ** 400), 2)
         idx.insert(5, 3)
-        idx.merge()
+        idx.fold()
         assert ids(idx.seek_eq(10 ** 400)) == [1]
         assert ids(idx.seek_cmp(">", 10 ** 399)) == [1]
         assert ids(idx.seek_cmp("<", 0)) == [2]
 
 
-class TestDeltaOverlay:
-    @pytest.mark.parametrize("threshold", [1, 3, 10_000])
-    def test_same_answers_at_any_merge_threshold(self, threshold):
-        """The pending overlay and the merged base must be observationally
-        identical; threshold=1 forces merge-per-write, 10k keeps all
-        writes pending."""
-        rng = random.Random(42)
-        values = [rng.randint(0, 20) for _ in range(60)]
-        idx = RangeIndex(merge_threshold=threshold)
-        for nid, v in enumerate(values):
-            idx.insert(v, nid)
-        removed = set()
-        for nid in rng.sample(range(60), 25):
-            idx.remove(values[nid], nid)
-            removed.add(nid)
-        live = {nid: v for nid, v in enumerate(values) if nid not in removed}
-        assert len(idx) == len(live)
-        for probe in range(21):
+def vector_oracle(rows, q, k):
+    """Brute-force cosine top-k with id tie-break."""
+    def norm(v):
+        v = np.asarray(v, dtype=np.float64)
+        n = float(np.linalg.norm(v))
+        return v / n if n > 0 else v
+
+    qn = norm(q)
+    scored = sorted(
+        ((float(norm(vec) @ qn), nid) for nid, vec in rows),
+        key=lambda t: (-t[0], t[1]),
+    )
+    return [(nid, s) for s, nid in scored[:k]]
+
+
+class _RangeKind:
+    """Range index adapter: ints and strings, checked through every seek
+    and ``ordered_ids``."""
+
+    def __init__(self):
+        self.idx = RangeIndex()
+
+    @staticmethod
+    def value(rng):
+        return rng.choice([rng.randint(0, 20), f"s{rng.randint(0, 20)}"])
+
+    def insert(self, nid, value):
+        assert self.idx.insert(value, nid)
+
+    def remove(self, nid, value):
+        self.idx.remove(value, nid)
+
+    def check(self, live):
+        idx = self.idx
+        nums = {n: v for n, v in live.items() if isinstance(v, int)}
+        strs = {n: v for n, v in live.items() if isinstance(v, str)}
+        for probe in list(range(21)) + [f"s{i}" for i in range(21)]:
             expect = sorted(n for n, v in live.items() if v == probe)
             assert ids(idx.seek_eq(probe)) == expect, probe
-        expect_rng = sorted(n for n, v in live.items() if 5 <= v < 15)
-        assert ids(idx.seek_range(5, False, 15, True)) == expect_rng
-        expect_in = sorted(n for n, v in live.items() if v in (3, 7, 11))
-        assert ids(idx.seek_in([3, 7, 11])) == expect_in
+        assert ids(idx.seek_range(5, False, 15, True)) == sorted(
+            n for n, v in nums.items() if 5 <= v < 15
+        )
+        assert ids(idx.seek_cmp(">=", 12)) == sorted(n for n, v in nums.items() if v >= 12)
+        assert ids(idx.seek_in([3, 7, "s11"])) == sorted(
+            n for n, v in live.items() if v in (3, 7, "s11")
+        )
+        assert ids(idx.seek_prefix("s1")) == sorted(
+            n for n, v in strs.items() if v.startswith("s1")
+        )
+        # strings rank before numbers; equal values break toward lower ids
+        by_id = sorted(live.items())
+        asc = sorted(by_id, key=lambda t: (isinstance(t[1], int), t[1]))
+        desc = sorted(by_id, key=lambda t: (isinstance(t[1], int), t[1]), reverse=True)
+        assert idx.ordered_ids(True).tolist() == [n for n, _ in asc]
+        assert idx.ordered_ids(False).tolist() == [n for n, _ in desc]
 
-    def test_reinsert_after_base_delete(self):
-        idx = RangeIndex(merge_threshold=1)
+
+class _CompositeKind:
+    """Composite index over ``(v % 4, v)``: width-1 and width-2 prefix
+    seeks."""
+
+    def __init__(self):
+        self.idx = CompositeIndex(0, (10, 11))
+
+    @staticmethod
+    def value(rng):
+        return rng.randint(0, 20)
+
+    def insert(self, nid, value):
+        assert self.idx.index_node(nid, {10: value % 4, 11: value})
+
+    def remove(self, nid, value):
+        self.idx.unindex_node(nid, {10: value % 4, 11: value})
+
+    def check(self, live):
+        for head in range(4):
+            expect = sorted(n for n, v in live.items() if v % 4 == head)
+            assert ids(self.idx.seek_prefix_eq([head])) == expect, head
+        for v in range(21):
+            expect = sorted(n for n, w in live.items() if w == v)
+            assert ids(self.idx.seek_prefix_eq([v % 4, v])) == expect, v
+
+
+class _VectorKind:
+    """Untrained vector index: exact top-k against a brute-force oracle."""
+
+    def __init__(self):
+        self.idx = VectorIndex(0, 10, dim=3)
+
+    @staticmethod
+    def value(rng):
+        return [rng.uniform(-1, 1) for _ in range(3)]
+
+    def insert(self, nid, value):
+        assert self.idx.index_node(nid, {10: value})
+
+    def remove(self, nid, value):
+        self.idx.unindex_node(nid, {10: value})
+
+    def check(self, live):
+        q = [0.3, -0.5, 0.8]
+        got_ids, got_scores = self.idx.query(q, len(live))
+        expect = vector_oracle(sorted(live.items()), q, len(live))
+        assert [int(i) for i in got_ids] == [nid for nid, _ in expect]
+        assert np.allclose(got_scores, [s for _, s in expect])
+
+
+class TestDeltaOverlay:
+    @pytest.mark.parametrize("threshold", [1, 3, 10_000])
+    @pytest.mark.parametrize("kind", [_RangeKind, _CompositeKind, _VectorKind],
+                             ids=["range", "composite", "vector"])
+    def test_overlay_matches_dict_oracle(self, kind, threshold, fold_at):
+        """Pending adds, base deletes and the folded base must be
+        observationally identical for every index kind: threshold 1 folds
+        on every write, 10 000 keeps every write pending until the
+        explicit fold."""
+        fold_at(threshold)
+        rng = random.Random(42)
+        index = kind()
+        live = {}
+
+        def insert(nid, value):
+            index.insert(nid, value)
+            live[nid] = value
+
+        def remove(nid):
+            index.remove(nid, live.pop(nid))
+
+        for nid in range(40):
+            insert(nid, index.value(rng))
+        for nid in range(0, 40, 9):  # still pending below the threshold
+            remove(nid)
+        assert len(index.idx) == len(live)
+        index.check(live)
+        index.idx.fold()  # fold mid-sequence: every survivor is in the base
+        index.check(live)
+        from_base = rng.sample(sorted(live), 8)
+        old = {nid: live[nid] for nid in from_base}
+        for nid in from_base:
+            remove(nid)
+        for nid in range(40, 60):
+            insert(nid, index.value(rng))
+        for nid in range(40, 60, 3):
+            remove(nid)
+        # the same id under the same key, after its base entry was deleted
+        for nid in from_base[:4]:
+            insert(nid, old[nid])
+        remove(from_base[0])
+        assert len(index.idx) == len(live)
+        index.check(live)
+        index.idx.fold()
+        assert len(index.idx) == len(live)
+        index.check(live)
+
+    def test_reinsert_after_base_delete(self, fold_at):
+        fold_at(1)
+        idx = RangeIndex()
         idx.insert(5, 1)
         idx.remove(5, 1)
         idx.insert(5, 1)
         assert ids(idx.seek_eq(5)) == [1]
+
+    def test_remove_of_an_absent_id_is_a_no_op(self):
+        idx = RangeIndex()
+        idx.insert(5, 1)
+        idx.insert(5, 3)
+        idx.fold()
+        idx.remove(5, 2)
+        idx.remove(6, 1)
+        idx.remove(5, 3)
+        idx.remove(5, 3)  # already deleted from the base
+        assert len(idx) == 1 and ids(idx.seek_eq(5)) == [1]
 
 
 class TestStringPrefix:
@@ -157,8 +296,9 @@ class TestStringPrefix:
         assert _prefix_upper("a" + chr(0x10FFFF)) == "b"
         assert _prefix_upper(chr(0x10FFFF)) is None
 
-    def test_prefix_seek(self):
-        idx = RangeIndex(merge_threshold=1)
+    def test_prefix_seek(self, fold_at):
+        fold_at(1)
+        idx = RangeIndex()
         for nid, s in enumerate(["app", "apple", "apply", "banana", "", "ap"]):
             idx.insert(s, nid)
         assert ids(idx.seek_prefix("app")) == [0, 1, 2]
@@ -169,19 +309,21 @@ class TestStringPrefix:
         assert ids(idx.seek_prefix("7")) == []
         assert ids(idx.seek_prefix(7)) == []
 
-    def test_prefix_at_max_codepoint(self):
+    def test_prefix_at_max_codepoint(self, fold_at):
+        fold_at(1)
         top = chr(0x10FFFF)
-        idx = RangeIndex(merge_threshold=1)
+        idx = RangeIndex()
         idx.insert(top + "x", 1)
         idx.insert("a", 2)
         assert ids(idx.seek_prefix(top)) == [1]
 
 
 class TestCompositeIndex:
-    def test_longest_prefix_storage(self):
+    def test_longest_prefix_storage(self, fold_at):
         """A node missing trailing attributes is indexed under its longest
         indexable prefix, so width-1 seeks still find it."""
-        idx = CompositeIndex(0, (10, 11), merge_threshold=1)
+        fold_at(1)
+        idx = CompositeIndex(0, (10, 11))
         idx.index_node(1, {10: "a", 11: 1})
         idx.index_node(2, {10: "a"})  # no attr 11
         idx.index_node(3, {10: "a", 11: [1]})  # attr 11 unindexable
@@ -190,8 +332,9 @@ class TestCompositeIndex:
         assert ids(idx.seek_prefix_eq(["a", 1])) == [1]
         assert ids(idx.seek_prefix_eq(["b"])) == []
 
-    def test_families_do_not_alias_in_tuples(self):
-        idx = CompositeIndex(0, (10, 11), merge_threshold=1)
+    def test_families_do_not_alias_in_tuples(self, fold_at):
+        fold_at(1)
+        idx = CompositeIndex(0, (10, 11))
         idx.index_node(1, {10: True, 11: "x"})
         idx.index_node(2, {10: 1, 11: "x"})
         assert ids(idx.seek_prefix_eq([True])) == [1]
@@ -199,8 +342,9 @@ class TestCompositeIndex:
         assert ids(idx.seek_prefix_eq([1, "x"])) == [2]
 
     @pytest.mark.parametrize("threshold", [1, 10_000])
-    def test_delete_and_update_consistency(self, threshold):
-        idx = CompositeIndex(0, (10, 11), merge_threshold=threshold)
+    def test_delete_and_update_consistency(self, threshold, fold_at):
+        fold_at(threshold)
+        idx = CompositeIndex(0, (10, 11))
         for nid in range(10):
             idx.index_node(nid, {10: nid % 3, 11: nid})
         idx.unindex_node(4, {10: 1, 11: 4})
@@ -209,34 +353,22 @@ class TestCompositeIndex:
         assert ids(idx.seek_prefix_eq([2])) == [2, 4, 5, 8]
         assert ids(idx.seek_prefix_eq([2, 4])) == [4]
 
-    def test_unindexable_probe_selects_nothing(self):
-        idx = CompositeIndex(0, (10,), merge_threshold=1)
+    def test_unindexable_probe_selects_nothing(self, fold_at):
+        fold_at(1)
+        idx = CompositeIndex(0, (10,))
         idx.index_node(1, {10: 1})
         assert ids(idx.seek_prefix_eq([None])) == []
         assert ids(idx.seek_prefix_eq([[1]])) == []
 
 
 class TestVectorIndex:
-    def oracle(self, rows, q, k):
-        """Brute-force cosine top-k with id tie-break."""
-        def norm(v):
-            v = np.asarray(v, dtype=np.float64)
-            n = float(np.linalg.norm(v))
-            return v / n if n > 0 else v
-
-        qn = norm(q)
-        scored = sorted(
-            ((float(norm(vec) @ qn), nid) for nid, vec in rows),
-            key=lambda t: (-t[0], t[1]),
-        )
-        return [(nid, s) for s, nid in scored[:k]]
-
     @pytest.mark.parametrize("threshold", [1, 10_000])
-    def test_matches_numpy_oracle(self, threshold):
+    def test_matches_numpy_oracle(self, threshold, fold_at):
+        fold_at(threshold)
         rng = np.random.default_rng(7)
         dim = 8
         rows = [(nid, rng.normal(size=dim).tolist()) for nid in range(50)]
-        idx = VectorIndex(0, 10, dim=dim, merge_threshold=threshold)
+        idx = VectorIndex(0, 10, dim=dim)
         for nid, vec in rows:
             assert idx.index_node(nid, {10: vec})
         # delete a few, from both base and pending
@@ -245,7 +377,7 @@ class TestVectorIndex:
         live = [(n, v) for n, v in rows if n not in (3, 17, 49)]
         q = rng.normal(size=dim).tolist()
         got_ids, got_scores = idx.query(q, 10)
-        expect = self.oracle(live, q, 10)
+        expect = vector_oracle(live, q, 10)
         assert [int(i) for i in got_ids] == [nid for nid, _ in expect]
         assert np.allclose(got_scores, [s for _, s in expect])
 
@@ -291,11 +423,14 @@ class TestGraphLevelCatalog:
             ("P", ("emb",), "vector"),
         ]
 
-    def test_merge_threshold_config_flows_through(self):
-        db = GraphDB("g", GraphConfig(index_merge_threshold=1))
+    def test_fold_threshold_applies_to_graph_indexes(self, fold_at):
+        fold_at(1)
+        db = GraphDB("g")
         db.query("CREATE INDEX ON :P(v)")
-        db.query("CREATE (:P {v: 5})")
-        idx = db.graph.get_index("P", "v")
-        # threshold 1 merges on every write: nothing stays pending
-        assert all(s.pending() == 0 for s in idx._fams.values())
-        assert ids(idx.seek_eq(5)) == [0]
+        db.query("CREATE INDEX ON :P(v, w)")
+        db.query("CREATE (:P {v: 5, w: 1})")
+        # threshold 1 folds on every write: nothing stays pending
+        for idx in db.graph._all_indexes():
+            stores = idx._fams.values() if idx.kind == "range" else [idx]
+            assert all(not s.adds and not s.dels for s in stores)
+        assert ids(db.graph.get_index("P", "v").seek_eq(5)) == [0]

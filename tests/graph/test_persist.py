@@ -64,7 +64,7 @@ class TestRoundTrip:
         db.query("CREATE INDEX ON :Person(name)")
         db2 = roundtrip(db)
         plan = db2.explain("MATCH (n:Person {name:'Zed'}) RETURN n")
-        assert "NodeByIndexScan" in plan
+        assert "IndexRangeScan" in plan
         assert db2.query("MATCH (n:Person {name:'Zed'}) RETURN n.name").scalar() == "Zed"
 
     def test_config_preserved(self):
@@ -244,19 +244,22 @@ class TestV2Format:
         assert load_graph(old).config.exec_batch_size == 7
 
     def test_retired_parallelism_fields_ignored(self):
-        """Snapshots written while intra-query parallelism existed carry
-        ``parallel_workers``, ``morsel_size`` and ``io_threads``; they
-        still load, with every node, edge and index."""
+        """Snapshots written while intra-query parallelism and the index
+        merge-threshold knob existed carry ``parallel_workers``,
+        ``morsel_size``, ``io_threads`` and ``index_merge_threshold``;
+        they still load, with every node, edge and index."""
         db = GraphDB("g", GraphConfig(exec_batch_size=7))
         db.query("UNWIND range(0, 9) AS i CREATE (:P {v: i})")
         db.query("MATCH (a:P), (b:P) WHERE b.v = a.v + 1 CREATE (a)-[:NEXT]->(b)")
         db.query("CREATE INDEX ON :P(v)")
-        old = self._saved_with_config(db, parallel_workers=4, morsel_size=64, io_threads=2)
+        old = self._saved_with_config(
+            db, parallel_workers=4, morsel_size=64, io_threads=2, index_merge_threshold=8
+        )
         loaded = GraphDB.load(old)
         assert loaded.graph.config.exec_batch_size == 7
         q = "MATCH (a:P {v: 3})-[:NEXT*1..3]->(b) RETURN b.v ORDER BY b.v"
         assert loaded.query(q).rows == db.query(q).rows == [(4,), (5,), (6,)]
-        assert "NodeByIndexScan" in loaded.explain("MATCH (a:P {v: 3}) RETURN a")
+        assert "IndexRangeScan" in loaded.explain("MATCH (a:P {v: 3}) RETURN a")
 
     def test_none_valued_index_entries_not_indexed(self):
         """Cypher null matches no predicate, so None is never indexed —
@@ -269,8 +272,8 @@ class TestV2Format:
         db2 = roundtrip(db)
         restored = db2.graph.get_index("P", "v")
         assert len(restored) == len(live) == 1
-        assert restored.lookup(None) == live.lookup(None) == set()
-        assert restored.lookup(1) == live.lookup(1) == {1}
+        assert restored.seek_eq(None).tolist() == live.seek_eq(None).tolist() == []
+        assert restored.seek_eq(1).tolist() == live.seek_eq(1).tolist() == [1]
 
     def test_edge_slot_reuse_preserved(self):
         db = GraphDB("g")

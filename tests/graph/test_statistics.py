@@ -176,7 +176,8 @@ class TestSnapshot:
         assert snap.node_count == 4
         rel = snap.rels["LIVES_IN"]
         assert (rel.edges, rel.entries, rel.out_nodes, rel.in_nodes) == (3, 3, 3, 1)
-        assert snap.indexes[("Person", "name")] == (3, 3)  # size, NDV
+        detail = snap.index_details[("Person", ("name",), "range")]
+        assert (detail["size"], detail["ndv"]) == (3, 3)
         assert rel.max_degree(incoming=True) >= 3
 
     def test_snapshot_is_insulated_from_later_writes(self):

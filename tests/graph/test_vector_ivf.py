@@ -135,14 +135,15 @@ class TestRecall:
 
 
 class TestChurn:
-    def test_insert_delete_churn_stays_exact_on_tail(self):
+    def test_insert_delete_churn_stays_exact_on_tail(self, fold_at):
         """Post-training inserts live in the pending tail (scanned exactly)
         and deletes mask bucket entries; full-probe queries must match the
         flat oracle through arbitrary churn."""
         rng = np.random.default_rng(15)
         dim = 8
         rows = [(nid, rng.normal(size=dim).tolist()) for nid in range(300)]
-        idx = build(rows, dim, nlist=6, merge_threshold=10_000)
+        fold_at(10_000)
+        idx = build(rows, dim, nlist=6)
         assert idx.trained
         live = dict(rows)
         # interleave deletes (bucket + tail) and fresh inserts
@@ -161,13 +162,14 @@ class TestChurn:
         assert [int(i) for i in got_ids] == want_ids
         assert np.allclose(got_scores, want_scores)
 
-    def test_fold_and_retrain_preserve_answers(self):
-        """Crossing the merge threshold folds the tail into buckets and may
+    def test_fold_and_retrain_preserve_answers(self, fold_at):
+        """Crossing the fold threshold folds the tail into buckets and may
         retrain; full-probe answers must be unchanged by layout shifts."""
         rng = np.random.default_rng(16)
         dim = 8
         rows = [(nid, rng.normal(size=dim).tolist()) for nid in range(200)]
-        idx = build(rows, dim, nlist=5, merge_threshold=32)
+        fold_at(32)
+        idx = build(rows, dim, nlist=5)
         live = dict(rows)
         for nid in range(500, 900):  # 2x growth → drift retrain at a fold
             vec = rng.normal(size=dim).tolist()
@@ -182,10 +184,11 @@ class TestChurn:
 
 class TestProcedureSurface:
     @pytest.fixture()
-    def db(self):
-        # small merge threshold so the pending tail folds (training runs
+    def db(self, fold_at):
+        # small fold threshold so the pending tail folds (training runs
         # at fold time) within a 64-row fixture
-        d = GraphDB("vec", GraphConfig(vector_train_min=32, index_merge_threshold=8))
+        fold_at(8)
+        d = GraphDB("vec", GraphConfig(vector_train_min=32))
         d.query("CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {dimension: 4, nlist: 4}")
         rng = np.random.default_rng(17)
         for _ in range(64):
@@ -251,8 +254,9 @@ class TestConfigKnobs:
         d.query("CREATE VECTOR INDEX ON :D(e) OPTIONS {dimension: 2, nprobe: 7}")
         assert d.graph.get_vector_index("D", "e").nprobe == 7
 
-    def test_train_min_gates_training(self):
-        d = GraphDB("k", GraphConfig(vector_train_min=16, index_merge_threshold=1))
+    def test_train_min_gates_training(self, fold_at):
+        fold_at(1)
+        d = GraphDB("k", GraphConfig(vector_train_min=16))
         d.query("CREATE VECTOR INDEX ON :D(e) OPTIONS {dimension: 2}")
         rng = np.random.default_rng(18)
         for _ in range(15):
@@ -264,12 +268,13 @@ class TestConfigKnobs:
 
 
 class TestPersistence:
-    def test_snapshot_round_trip_preserves_layout(self, tmp_path):
+    def test_snapshot_round_trip_preserves_layout(self, tmp_path, fold_at):
         import io
 
         from repro.graph.persist import load_graph, save_graph
 
-        d = GraphDB("p", GraphConfig(vector_train_min=32, index_merge_threshold=8))
+        fold_at(8)
+        d = GraphDB("p", GraphConfig(vector_train_min=32))
         d.query("CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {dimension: 6, nlist: 5}")
         rng = np.random.default_rng(19)
         for _ in range(80):

@@ -160,16 +160,47 @@ class TestAlgorithmProcedures:
         assert comp["x"] == comp["y"] != comp["a"]
         assert comp["t1"] == comp["t2"] == comp["t3"] != comp["a"]
 
-    def test_pagerank_over_a_full_matrix_sums_to_one(self):
-        """Ranks are computed over the whole matrix dimension, so they sum
-        to 1 only when every slot holds a live node, as here."""
+    @staticmethod
+    def _full_graph():
         full = GraphDB("full", GraphConfig(node_capacity=4))
         full.query("CREATE (:H)<-[:R]-(:S), (:H)<-[:R]-(:S)")
         assert full.graph.capacity == full.graph.node_count == 4
-        ((count, total),) = full.query(
-            "CALL algo.pagerank() YIELD node, score RETURN count(node), sum(score)"
-        ).rows
-        assert count == 4 and total == pytest.approx(1.0)
+        return full
+
+    @staticmethod
+    def _sparse_graph():
+        sparse = GraphDB("sparse", GraphConfig(node_capacity=256))
+        sparse.query("CREATE (:H)<-[:R]-(:S), (:Gone)")
+        sparse.query("MATCH (n:Gone) DELETE n")
+        assert (sparse.graph.capacity, sparse.graph.node_count) == (256, 2)
+        return sparse
+
+    @staticmethod
+    def _power_iteration(nodes, edges, damping=0.85, iterations=200):
+        """Plain-Python PageRank over the live nodes only."""
+        n = len(nodes)
+        out = {v: [d for s, d in edges if s == v] for v in nodes}
+        rank = {v: 1.0 / n for v in nodes}
+        for _ in range(iterations):
+            dangling = sum(rank[v] for v in nodes if not out[v])
+            new = {v: (1.0 - damping) / n + damping * dangling / n for v in nodes}
+            for v in nodes:
+                for d in out[v]:
+                    new[d] += damping * rank[v] / len(out[v])
+            rank = new
+        return rank
+
+    @pytest.mark.parametrize("build", ["_full_graph", "_sparse_graph"], ids=["full", "sparse"])
+    def test_pagerank_over_a_full_matrix_sums_to_one(self, build):
+        """Only live nodes are ranked: a graph using 2 of its 256 slots
+        (plus one deleted node) still sums to 1, like a full matrix."""
+        g = getattr(self, build)()
+        nodes = sorted(g.query("MATCH (n) RETURN id(n) AS id").column("id"))
+        edges = g.query("MATCH (a)-[:R]->(b) RETURN id(a), id(b)").rows
+        expect = self._power_iteration(nodes, edges)
+        rows = g.query("CALL algo.pagerank() YIELD node, score RETURN id(node), score").rows
+        assert dict(rows) == pytest.approx(expect)
+        assert sum(score for _, score in rows) == pytest.approx(1.0)
 
     def test_sssp_distances(self, db):
         rows = db.query(

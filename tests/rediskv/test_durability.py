@@ -94,7 +94,7 @@ class TestKillAndRestart:
             run_workload(c, save_midway=save_midway)
             expected = snapshot_answers(c)
             index_plan = "\n".join(c.graph_explain("g", "MATCH (n:A {v: 3}) RETURN n"))
-            assert "NodeByIndexScan" in index_plan
+            assert "IndexRangeScan" in index_plan
         srv.stop()  # "crash": no clean GRAPH.SAVE of the tail
 
         srv2 = start_server(tmp_path)
@@ -105,7 +105,7 @@ class TestKillAndRestart:
         with RedisClient(port=srv2.port) as c2:
             assert_matches(c2, expected)
             # the index survived (snapshot or index.create replay)
-            assert "NodeByIndexScan" in "\n".join(
+            assert "IndexRangeScan" in "\n".join(
                 c2.graph_explain("g", "MATCH (n:A {v: 3}) RETURN n")
             )
             # the restored graph keeps accepting (and logging) writes
@@ -157,9 +157,12 @@ class TestKillAndRestart:
 
 
 class TestRetiredKnobs:
-    """A data dir written while ``PARALLEL_WORKERS`` and ``MORSEL_SIZE``
-    were settable knobs: both sit in the manifest's config and in WAL
-    ``config`` records.  Recovery skips them and restores every graph."""
+    """A data dir written while ``PARALLEL_WORKERS``, ``MORSEL_SIZE`` and
+    ``INDEX_MERGE_THRESHOLD`` were settable knobs: each sits in the
+    manifest's config and in WAL ``config`` records.  Recovery skips them
+    and restores every graph."""
+
+    RETIRED = {"PARALLEL_WORKERS": 4, "MORSEL_SIZE": 64, "INDEX_MERGE_THRESHOLD": 8}
 
     def test_stale_config_records_recover(self, tmp_path):
         srv = start_server(tmp_path)
@@ -167,15 +170,15 @@ class TestRetiredKnobs:
             run_workload(c, save_midway=True)
             c.graph_config_set("AUTO_SNAPSHOT_OPS", "500")
             # what GRAPH.CONFIG SET of the retired knobs used to log
-            srv.durability.log_config("PARALLEL_WORKERS", 4)
-            srv.durability.log_config("MORSEL_SIZE", 64)
+            for name, value in self.RETIRED.items():
+                srv.durability.log_config(name, value)
             c.graph_query("g", "CREATE (:A {name: 'after', v: 4})")
             c.graph_query("other", "UNWIND range(1, 5) AS i CREATE (:K {v: i})")
             expected = snapshot_answers(c)
         srv.stop()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["config"]["PARALLEL_WORKERS"] == 4
-        assert manifest["config"]["MORSEL_SIZE"] == 64
+        for name, value in self.RETIRED.items():
+            assert manifest["config"][name] == value
 
         srv2 = start_server(tmp_path)
         assert srv2.recovery_stats["snapshots"] == 1
@@ -185,10 +188,11 @@ class TestRetiredKnobs:
             assert c2.graph_query("other", "MATCH (k:K) RETURN sum(k.v)").scalar() == 15
             # the surviving knob around the stale ones still applied
             assert c2.graph_config_get("AUTO_SNAPSHOT_OPS") == ["AUTO_SNAPSHOT_OPS", 500]
-            with pytest.raises(ResponseError, match="Unknown configuration"):
-                c2.graph_config_get("PARALLEL_WORKERS")
-            with pytest.raises(ResponseError, match="not settable"):
-                c2.graph_config_set("PARALLEL_WORKERS", "4")
+            for name in self.RETIRED:
+                with pytest.raises(ResponseError, match="Unknown configuration"):
+                    c2.graph_config_get(name)
+                with pytest.raises(ResponseError, match="not settable"):
+                    c2.graph_config_set(name, "4")
         srv2.stop()
 
 
@@ -504,7 +508,12 @@ class TestIVFReplay:
     centroids without retraining, and pre-IVF log records (no "exact"
     marker in options) replay as brute-force indexes."""
 
-    IVF_KW = dict(vector_train_min=32, index_merge_threshold=8)
+    IVF_KW = dict(vector_train_min=32)
+
+    @pytest.fixture(autouse=True)
+    def _fold_small(self, fold_at):
+        # the pending tail folds (training runs at fold time) within 80 rows
+        fold_at(8)
     DDL = "CREATE VECTOR INDEX ON :P(emb) OPTIONS {dimension: 4, nlist: 4}"
     VQ = (
         "CALL db.idx.vector.query('P', 'emb', $q, 10) "
