@@ -14,8 +14,11 @@ all columns the same length.  Two column kinds exist:
 * :class:`ValueColumn` — everything else.  ``values`` is either an
   ``object`` array of pure-Python values (``None`` = null) or a typed
   array (``bool_``/``int64``/``float64``) with a separate ``nulls`` mask;
-  typed form is produced by vectorized kernels and converted back to
-  Python values only on escape.
+  typed form is produced by property gathers (the store's typed columns,
+  taken as they are) and vectorized kernels, and converted back to
+  Python values only on escape.  A gathered string column also carries
+  its ``int32`` pool codes, which a group-by factorizes instead of the
+  strings.
 
 Invariant: object arrays hold *Python* scalars (never numpy scalars), so
 values escaping a batch are indistinguishable from row-engine values.
@@ -45,6 +48,7 @@ __all__ = [
     "object_column",
     "null_column",
     "as_entity_ids",
+    "gathered_column",
 ]
 
 _I64 = np.int64
@@ -86,20 +90,14 @@ class EntityColumn:
 
     def property_column(self, key: str) -> "ValueColumn":
         """Bulk property gather, memoized per key: ``b.age > 30 AND
-        b.age < 70`` touches the DataBlock once, not twice.  Returning one
-        shared ValueColumn also lets kernels cache derived views (the
-        numeric conversion) across expressions."""
+        b.age < 70`` takes from the property column once, not twice.
+        The column keeps the store's dtype (an int attribute arrives as
+        ``int64`` plus a null mask, a string one with its codes)."""
         if self._props is None:
             self._props = {}
         col = self._props.get(key)
         if col is None:
-            gather = (
-                self.graph.node_property_column
-                if self.kind == "node"
-                else self.graph.edge_property_column
-            )
-            col = ValueColumn(gather(self.ids, key))
-            self._props[key] = col
+            col = self._props[key] = gathered_column(self.graph, self.kind, self.ids, key)
         return col
 
     def property_values(self, key: str) -> np.ndarray:
@@ -120,6 +118,9 @@ class EntityColumn:
                     out[i] = ctor(graph, eid)
             self._objects = out
         return self._objects
+
+    def tolist(self) -> list:
+        return self.to_objects().tolist()
 
     def take(self, indices: np.ndarray) -> "EntityColumn":
         col = EntityColumn(self.kind, self.ids[indices], self.graph)
@@ -161,18 +162,19 @@ class EntityColumn:
 class ValueColumn:
     """A scalar column: object values, or a typed array + null mask.
 
-    ``numeric_view`` is a kernel-side memo (see ``batch_expr.
-    _numeric_parts``): ``None`` = not computed, ``False`` = not numeric,
-    else the ``(array, nulls)`` pair.  It rides through take/slice so a
-    column compared twice converts once.
+    ``codes`` is a gathered string property's pool codes (-1 = null;
+    within one column equal codes mean equal strings): a memo that rides
+    through take/slice so a group-by factorizes integers, not strings.
     """
 
-    __slots__ = ("values", "nulls", "numeric_view")
+    __slots__ = ("values", "nulls", "codes")
 
-    def __init__(self, values: np.ndarray, nulls: Optional[np.ndarray] = None) -> None:
+    def __init__(
+        self, values: np.ndarray, nulls: Optional[np.ndarray] = None, codes: Optional[np.ndarray] = None
+    ) -> None:
         self.values = values
         self.nulls = nulls
-        self.numeric_view = None
+        self.codes = codes
 
     def __len__(self) -> int:
         return len(self.values)
@@ -180,38 +182,29 @@ class ValueColumn:
     def to_objects(self) -> np.ndarray:
         if self.values.dtype == object:
             return self.values
-        # typed → Python scalars via tolist (C-speed), nulls punched back in
-        out = object_column(self.values.tolist())
-        if self.nulls is not None and self.nulls.any():
+        # typed → Python scalars (astype(object) runs at C speed and
+        # yields int/float/bool), nulls punched back in
+        out = self.values.astype(object)
+        if self.nulls is not None and np.count_nonzero(self.nulls):
             out[self.nulls] = None
         return out
 
-    def take(self, indices: np.ndarray) -> "ValueColumn":
-        col = ValueColumn(
+    def tolist(self) -> list:
+        """The column as a list of Python values (a typed column without
+        nulls converts in one ``tolist``)."""
+        if self.nulls is None or self.values.dtype == object:
+            return self.values.tolist()
+        return self.to_objects().tolist()
+
+    def take(self, indices) -> "ValueColumn":
+        return ValueColumn(
             self.values[indices],
             self.nulls[indices] if self.nulls is not None else None,
+            self.codes[indices] if self.codes is not None else None,
         )
-        if self.numeric_view is False:
-            col.numeric_view = False
-        elif self.numeric_view is not None:
-            arr, nulls = self.numeric_view
-            col.numeric_view = (arr[indices], nulls[indices] if nulls is not None else None)
-        return col
 
     def slice(self, start: int, stop: int) -> "ValueColumn":
-        col = ValueColumn(
-            self.values[start:stop],
-            self.nulls[start:stop] if self.nulls is not None else None,
-        )
-        if self.numeric_view is False:
-            col.numeric_view = False
-        elif self.numeric_view is not None:
-            arr, nulls = self.numeric_view
-            col.numeric_view = (
-                arr[start:stop],
-                nulls[start:stop] if nulls is not None else None,
-            )
-        return col
+        return self.take(slice(start, stop))
 
     def null_mask(self) -> np.ndarray:
         if self.nulls is not None:
@@ -237,6 +230,12 @@ Column = Union[EntityColumn, ValueColumn]
 
 def null_column(n: int) -> ValueColumn:
     return ValueColumn(np.empty(n, dtype=object))
+
+
+def gathered_column(graph, kind: str, ids: np.ndarray, key: str) -> ValueColumn:
+    """One property of node/edge ``ids`` as a column, typed as stored."""
+    gather = graph.node_property_column if kind == "node" else graph.edge_property_column
+    return ValueColumn(*gather(ids, key))
 
 
 def as_entity_ids(col: Column) -> Optional[Tuple[str, np.ndarray]]:

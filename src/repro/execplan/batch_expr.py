@@ -41,6 +41,7 @@ from repro.execplan.batch import (
     ValueColumn,
     as_entity_ids,
     float64_exact,
+    gathered_column,
     object_column,
 )
 from repro.execplan.expressions import (
@@ -148,42 +149,33 @@ def _bool_column(true: np.ndarray, nulls: Optional[np.ndarray]) -> ValueColumn:
 def _numeric_parts(res: BatchResult, n: int):
     """``(numeric array, nulls-or-None)`` when every value is a pure
     int/float (bools excluded, as in scalar ``_is_number``); None when the
-    fast numeric path does not apply.  Memoized on the column (a gathered
-    property compared twice converts once)."""
-    if isinstance(res, ValueColumn):
-        if res.values.dtype in (np.int64, np.float64):
-            return res.values, res.nulls
-        if res.values.dtype == object:
-            cached = res.numeric_view
-            if cached is not None:
-                return None if cached is False else cached
-            lst = res.values.tolist()
-            types = set(map(type, lst))
-            has_null = _NoneType in types
-            types.discard(_NoneType)
-            if not types <= _NUMERIC_TYPES:
-                res.numeric_view = False
-                return None
-            # pure-int columns stay int64 so values past 2**53 compare
-            # exactly; mixed int/float takes float64 only while exact,
-            # and an overflow drops the column to the elementwise path
-            dtype = _I64 if types == {int} else np.float64
-            if dtype is np.float64 and int in types and not float64_exact(lst):
-                res.numeric_view = False
-                return None
-            try:
-                if has_null:
-                    nulls = np.fromiter((v is None for v in lst), dtype=np.bool_, count=n)
-                    arr = np.array([0 if v is None else v for v in lst], dtype=dtype)
-                else:
-                    nulls = None
-                    arr = np.array(lst, dtype=dtype)
-            except OverflowError:
-                res.numeric_view = False
-                return None
-            res.numeric_view = (arr, nulls)
-            return arr, nulls
-    return None
+    fast numeric path does not apply.  A gathered int/float property is
+    already typed; an object column converts here."""
+    if not isinstance(res, ValueColumn):
+        return None
+    if res.values.dtype in (np.int64, np.float64):
+        return res.values, res.nulls
+    if res.values.dtype != object:
+        return None
+    lst = res.values.tolist()
+    types = set(map(type, lst))
+    has_null = _NoneType in types
+    types.discard(_NoneType)
+    if not types <= _NUMERIC_TYPES:
+        return None
+    # pure-int columns stay int64 so values past 2**53 compare exactly;
+    # mixed int/float takes float64 only while exact, and an overflow
+    # drops the column to the elementwise path
+    dtype = _I64 if types == {int} else np.float64
+    if dtype is np.float64 and int in types and not float64_exact(lst):
+        return None
+    try:
+        if has_null:
+            nulls = np.fromiter((v is None for v in lst), dtype=np.bool_, count=n)
+            return np.array([0 if v is None else v for v in lst], dtype=dtype), nulls
+        return np.array(lst, dtype=dtype), None
+    except OverflowError:
+        return None
 
 
 def _float_domain(side) -> bool:
@@ -287,13 +279,7 @@ def _compile_batch(expr: A.Expr, layout: Layout) -> BatchEval:
                 return res.property_column(key)
             entity = as_entity_ids(res)
             if entity is not None:
-                kind, ids = entity
-                gather = (
-                    c.graph.node_property_column
-                    if kind == "node"
-                    else c.graph.edge_property_column
-                )
-                return ValueColumn(gather(ids, key))
+                return gathered_column(c.graph, entity[0], entity[1], key)
             return _elementwise(lambda v: _property_of(v, key), res, b.length)
 
         return prop

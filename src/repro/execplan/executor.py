@@ -192,7 +192,7 @@ class QueryEngine:
                 if planned.columns is None or not batch.length:
                     continue
                 for out, col in zip(column_data, batch.columns):
-                    out.extend(col.to_objects().tolist())
+                    out.extend(col.tolist())
         if len(compiled.plans) > 1 and not compiled.union_all:
             from repro.execplan.ops_stream import _hashable
 

@@ -96,7 +96,7 @@ def _property_of(subject, key: str):
     if subject is None:
         return None
     if isinstance(subject, (Node, Edge)):
-        return subject.properties.get(key)
+        return subject.get(key)
     if isinstance(subject, dict):
         return subject.get(key)
     raise CypherTypeError(f"cannot access property {key!r} on {type(subject).__name__}")

@@ -69,7 +69,11 @@ _NUMERIC_TYPES = frozenset((int, float))
 
 
 def _hashable(value) -> Any:
-    """Turn any runtime value into a hashable grouping/dedup key."""
+    """Turn any runtime value into a hashable grouping/dedup key.  Bools
+    are tagged (at any depth): ``true = 1`` is false, so they must not
+    share a key, while ``1`` and ``1.0`` do."""
+    if isinstance(value, bool):
+        return ("bool", value)
     if isinstance(value, Node):
         return ("node", value.id)
     if isinstance(value, Edge):
@@ -106,6 +110,22 @@ def _exact_keys(values: list) -> Optional[np.ndarray]:
     if types == {str}:
         return None if any("\x00" in s for s in values) else np.array(values)
     return None
+
+
+def _typed_keys(col: Column) -> Optional[np.ndarray]:
+    """A gathered column's own exact key array, or None: a string
+    column's codes (null is code -1, a group of its own), or a typed
+    column without nulls — and, for floats, without NaN."""
+    if not isinstance(col, ValueColumn):
+        return None
+    if col.codes is not None:
+        return col.codes
+    values = col.values
+    if values.dtype == object or (col.nulls is not None and col.nulls.any()):
+        return None
+    if values.dtype == np.float64 and np.isnan(values).any():
+        return None
+    return values
 
 
 def _eval_column(batch_fn, scalar_fn, batch: RecordBatch, ctx: ExecContext) -> Column:
@@ -403,14 +423,14 @@ class Aggregate(PlanOp):
 
             appearance = np.argsort(first_idx, kind="stable").tolist()
             return codes, appearance, keys, values_fn
-        lst = col.to_objects().tolist()
-        arr = _exact_keys(lst)
+        arr = _typed_keys(col)
+        if arr is None:
+            arr = _exact_keys(col.tolist())
         if arr is None:
             return None
         uniq, first_idx, codes = np.unique(arr, return_index=True, return_inverse=True)
-        firsts = first_idx.tolist()
-        reps = [lst[i] for i in firsts]  # first-seen Python value, type kept
-        keys = [(v,) for v in reps]
+        reps = col.take(first_idx).to_objects().tolist()  # first-seen Python value, type kept
+        keys = [(_hashable(v),) for v in reps]
 
         def values_fn(pos):
             return [reps[pos]]
@@ -447,11 +467,14 @@ class Aggregate(PlanOp):
         nz = np.flatnonzero(~nulls)
         if not len(nz):
             return True
-        values = col.to_objects()
-        present = [values[i] for i in nz.tolist()]
-        ptypes = set(map(type, present))
-        if not ptypes <= _NUMERIC_TYPES:
-            return False  # row loop raises/compares exactly like the scalar path
+        if col.values.dtype in (_I64, np.float64):  # a typed column, read as is
+            arr = col.values[nz]
+            present = None
+        else:
+            values = col.to_objects()
+            present = [values[i] for i in nz.tolist()]
+            if not set(map(type, present)) <= _NUMERIC_TYPES:
+                return False  # row loop raises/compares exactly like the scalar path
         nz_codes = codes[nz]
         counts = np.bincount(nz_codes, minlength=k)
         if spec.kind in ("sum", "avg"):
@@ -462,7 +485,7 @@ class Aggregate(PlanOp):
             # beyond float64 overflow in the row loop instead, at the
             # exact offending record
             try:
-                floats = np.array(present, dtype=np.float64)
+                floats = arr.astype(np.float64) if present is None else np.array(present, dtype=np.float64)
             except OverflowError:
                 return False
             sums = np.bincount(nz_codes, weights=floats, minlength=k)
@@ -478,7 +501,10 @@ class Aggregate(PlanOp):
         # int64 so values past 2**53 keep their exact order; anything the
         # dtype cannot represent exactly (or NaN, whose ordering sort_key
         # defines) drops to the row loop.
-        ordkeys = _exact_keys(present)
+        if present is None:
+            ordkeys = None if arr.dtype == np.float64 and np.isnan(arr).any() else arr
+        else:
+            ordkeys = _exact_keys(present)
         if ordkeys is None:
             return False
         if spec.kind == "min":
@@ -493,7 +519,8 @@ class Aggregate(PlanOp):
         sorted_codes = nz_codes[order]
         uniq_codes, first_pos = np.unique(sorted_codes, return_index=True)
         for code, pos in zip(uniq_codes.tolist(), first_pos.tolist()):
-            value = present[int(order[pos])]
+            at = int(order[pos])
+            value = arr.item(at) if present is None else present[at]
             state = states_by_code[code][spec_idx]
             state.count += int(counts[code])
             if state.best is None:
@@ -518,7 +545,7 @@ class Aggregate(PlanOp):
         if isinstance(col, EntityColumn):
             domain, keys = col.kind, col.ids[nz]
         else:
-            keys = _exact_keys(col.to_objects()[nz].tolist())
+            keys = col.values[nz] if col.values.dtype == _I64 else _exact_keys(col.to_objects()[nz].tolist())
             if keys is None or keys.dtype == np.float64:
                 return False
             domain = "int" if keys.dtype == _I64 else "str"
@@ -662,8 +689,12 @@ class Sort(PlanOp):
                 return None
             return col.ids if ascending else self._descending(col.ids)
         # exact keys only: int64 never ties ints past 2**53 the way
-        # float64 would; strings sort ascending only (no negation)
-        arr = _exact_keys(col.to_objects().tolist())
+        # float64 would; strings sort ascending only (no negation).  A
+        # typed numeric column is its own key (string codes are not
+        # ordered like the strings)
+        arr = _typed_keys(col) if col.codes is None else None
+        if arr is None or arr.dtype == np.bool_:
+            arr = _exact_keys(col.tolist())
         if arr is None:
             return None
         if ascending:

@@ -184,7 +184,26 @@ class Merge(PlanOp):
         # Output batches are rebuilt from the walked rows: the match arm
         # must see what earlier records of the same input batch created,
         # and no column may carry a property memo older than an ON ... SET.
+        # An ON ... SET that writes an entity a buffered row binds first
+        # hands those rows downstream, so they are read as the row engine
+        # reads them: before the write.
         rows: List[Record] = []
+        bound: set = set()  # entities the buffered rows bind (with ON ... SET only)
+        on_set = bool(self._on_match or self._on_create)
+
+        def buffer(out: Record, items) -> Iterator[RecordBatch]:
+            nonlocal rows
+            targets = [out[layout.slot(item[0])] for item in items] if bound else ()
+            if any(isinstance(t, (Node, Edge)) and t in bound for t in targets):
+                yield from RecordBatch.from_rows(layout, rows).chunks(size)
+                rows = []
+                bound.clear()
+            if items:
+                _apply_set_items(items, out, layout, ctx)
+            rows.append(out)
+            if on_set:
+                bound.update(v for v in out if isinstance(v, (Node, Edge)))
+
         for batch in self.children[0].produce_batches(ctx):
             for record in batch.iter_rows():
                 self._argument.seed(ctx, RecordBatch.from_rows(in_layout, [record]))
@@ -192,18 +211,15 @@ class Merge(PlanOp):
                 for found in self.children[1].produce_batches(ctx):
                     for out in found.iter_rows():
                         matched = True
-                        if self._on_match:
-                            _apply_set_items(self._on_match, out, layout, ctx)
-                        rows.append(out)
+                        yield from buffer(out, self._on_match)
                 if not matched:
                     out = record + grow
                     self._writer.write(record, in_layout, out, layout, ctx)
-                    if self._on_create:
-                        _apply_set_items(self._on_create, out, layout, ctx)
-                    rows.append(out)
+                    yield from buffer(out, self._on_create)
                 if len(rows) >= size:
                     yield from RecordBatch.from_rows(layout, rows).chunks(size)
                     rows = []
+                    bound.clear()
         if rows:
             yield from RecordBatch.from_rows(layout, rows).chunks(size)
 

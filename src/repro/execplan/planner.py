@@ -30,7 +30,7 @@ from repro.errors import CypherSemanticError
 from repro.cypher import ast_nodes as A
 from repro.cypher.semantic import AGGREGATE_FUNCTIONS, has_aggregate
 from repro.execplan.algebraic import build_traverse_expression
-from repro.execplan.batch import ValueColumn, as_entity_ids
+from repro.execplan.batch import ValueColumn, as_entity_ids, gathered_column
 from repro.execplan.batch_expr import as_column, vectorize
 from repro.execplan.expressions import CompiledExpr, ExecContext, _equal, compile_expr
 from repro.execplan.ops_base import Argument, PlanOp, Unit
@@ -1087,9 +1087,8 @@ class _PropertyCheckPredicate:
         entity = record[self._slot]
         if entity is None:
             return False
-        props = entity.properties
         for key, fn in self._checks:
-            if _equal(props.get(key), fn(record, ctx)) is not True:
+            if _equal(entity.get(key), fn(record, ctx)) is not True:
                 return False
         return True
 
@@ -1106,17 +1105,12 @@ class _PropertyCheckPredicate:
                 )
             )
         kind, ids = entity
-        gather = (
-            ctx.graph.node_property_column
-            if kind == "node"
-            else ctx.graph.edge_property_column
-        )
         mask = ids >= 0
         n = len(batch)
         for (key, _), (_, bfn) in zip(self._checks, self._batch_values):
             if not mask.any():
                 break
-            props = gather(ids, key)
+            props = gathered_column(ctx.graph, kind, ids, key).to_objects()
             wanted = as_column(bfn(batch, ctx), n).to_objects()
             eq = np.fromiter(
                 (_equal(p, w) is True for p, w in zip(props, wanted)),

@@ -1,8 +1,9 @@
 """Attribute-key interning.
 
-Property names are interned to small integer ids once per graph, so entity
-records store ``{attr_id: value}`` dicts and comparisons/projections work on
-integers (RedisGraph's GraphContext attribute registry)."""
+Property names are interned to small integer ids once per graph, so the
+property store keys one typed column per attribute id and comparisons/
+projections work on integers (RedisGraph's GraphContext attribute
+registry)."""
 
 from __future__ import annotations
 

@@ -8,7 +8,9 @@ batches (counts, label sets, relationship types, and whole attribute
 *columns*), then :meth:`BulkWriter.commit` applies everything in one
 atomic pass under the graph's write lock:
 
-* node/edge records land through vectorized ``DataBlock.alloc_many``,
+* node/edge records land through vectorized ``DataBlock.alloc_many``
+  and every staged attribute column lands as one array write into the
+  block's typed property store,
 * label/relationship/adjacency matrices grow through one
   ``DeltaMatrix.union_splice`` sorted-key merge per matrix instead of a
   pending op per entry,
@@ -122,21 +124,15 @@ def _as_id_array(seq: Sequence[int], what: str) -> np.ndarray:
     raise GraphError(f"bulk edges: {what} endpoints must be integers")
 
 
-def _prop_dicts(aids: List[int], columns: List[list], count: int) -> List[Dict[int, Any]]:
-    """Per-entity ``{attr_id: value}`` dicts from columnar input.
-
-    ``None`` column entries mean "absent on this entity".  Rows transpose
-    through ``zip(*columns)`` so the per-row work stays in C; every dict
-    is distinct (records must never share a props object)."""
-    if not columns:
-        return [{} for _ in range(count)]
-    if len(columns) == 1:
-        aid = aids[0]
-        return [{} if v is None else {aid: v} for v in columns[0]]
-    return [
-        {aid: v for aid, v in zip(aids, vals) if v is not None}
-        for vals in zip(*columns)
-    ]
+def _install(block, graph: Graph, ids: np.ndarray, props: Dict[str, list]) -> int:
+    """Write each staged column into the block's property store at
+    ``ids`` (one array per column); returns the properties set."""
+    count = 0
+    for name, column in props.items():
+        values = np.fromiter(column, dtype=object, count=len(column))
+        block.store.install(graph.attrs.intern(name), ids, values)
+        count += len(column) - column.count(None)
+    return count
 
 
 def _as_columns(properties: Optional[Mapping[str, Sequence[Any]]], count: Optional[int], what: str):
@@ -346,13 +342,8 @@ class BulkWriter:
         by_label: Dict[int, List[np.ndarray]] = {}
         for nb in self._node_batches:
             label_ids = tuple(graph.schema.intern_label(l) for l in nb.labels)
-            report.properties_set += sum(len(c) - c.count(None) for c in nb.props.values())
-            aids = [graph.attrs.intern(name) for name in nb.props]
-            records = [
-                _NodeRecord(label_ids, props)
-                for props in _prop_dicts(aids, list(nb.props.values()), nb.count)
-            ]
-            ids = graph._nodes.alloc_many(records)
+            ids = graph._nodes.alloc_many([_NodeRecord(label_ids) for _ in range(nb.count)])
+            report.properties_set += _install(graph._nodes, graph, ids, nb.props)
             node_ids[nb.start : nb.start + nb.count] = ids
             graph.stats.nodes_created_bulk(label_ids, nb.count)
             for lid in label_ids:
@@ -373,16 +364,11 @@ class BulkWriter:
             else:
                 src, dst = eb.src, eb.dst
             by_rel.setdefault(rid, []).append((src, dst))
-            report.properties_set += sum(len(c) - c.count(None) for c in eb.props.values())
-            aids = [graph.attrs.intern(name) for name in eb.props]
             src_list, dst_list = src.tolist(), dst.tolist()
-            records = [
-                _EdgeRecord(s, d, rid, props)
-                for s, d, props in zip(
-                    src_list, dst_list, _prop_dicts(aids, list(eb.props.values()), len(src_list))
-                )
-            ]
-            edge_ids = graph._edges.alloc_many(records).tolist()
+            records = [_EdgeRecord(s, d, rid) for s, d in zip(src_list, dst_list)]
+            edge_id_arr = graph._edges.alloc_many(records)
+            report.properties_set += _install(graph._edges, graph, edge_id_arr, eb.props)
+            edge_ids = edge_id_arr.tolist()
             report.relationships_created += len(records)
             graph.stats.edge_records_created_bulk(rid, len(records))
             edge_map, node_out, node_in = graph._edge_map, graph._node_out, graph._node_in
@@ -404,36 +390,17 @@ class BulkWriter:
             # one vectorized pass per touched type beats a stats op per edge
             graph.stats.rebuild_rel(rid)
 
-        # -- index backfill (vectorized, kind-aware) ---------------------
-        # staged columns feed each index's bulk path: one sort per index
-        # per batch instead of one insert per (node, value)
+        # -- index backfill: one bulk insert per index from the property
+        # columns (a vector index trains once over the whole ingest) -----
         for index in graph._all_indexes():
             label_name = graph.schema.label_name(index.label_id)
-            attr_names = tuple(graph.attrs.name_of(a) for a in index.attr_ids)
-            # vector indexes stage every batch's column and insert once,
-            # so the IVF quantizer trains a single time over the whole
-            # ingest instead of re-evaluating per batch
-            staged_vals: List[Any] = []
-            staged_ids: List[int] = []
-            for nb in self._node_batches:
-                if label_name not in nb.labels:
-                    continue
-                ids = node_ids[nb.start : nb.start + nb.count]
-                if index.kind == "composite":
-                    slots = graph._nodes._slots
-                    rows = [slots[int(nid)].props for nid in ids]
-                    report.indexed_nodes += index.bulk_insert(rows, ids)
-                elif index.kind == "vector":
-                    column = nb.props.get(attr_names[0])
-                    if column is not None:
-                        staged_vals.extend(column)
-                        staged_ids.extend(int(n) for n in ids)
-                else:
-                    column = nb.props.get(attr_names[0])
-                    if column is not None:
-                        report.indexed_nodes += index.bulk_insert(column, ids)
-            if staged_vals:
-                report.indexed_nodes += index.bulk_insert(staged_vals, staged_ids)
+            chunks = [
+                node_ids[nb.start : nb.start + nb.count]
+                for nb in self._node_batches
+                if label_name in nb.labels
+            ]
+            if chunks:
+                report.indexed_nodes += graph.backfill(index, np.concatenate(chunks))
 
         report.labels_added = graph.schema.label_count - labels_before
         report.reltypes_added = graph.schema.reltype_count - reltypes_before

@@ -33,7 +33,8 @@ class Node:
         return self._graph.node_properties(self.id)
 
     def get(self, key: str, default=None):
-        return self.properties.get(key, default)
+        value = self._graph.node_property(self.id, key)
+        return default if value is None else value
 
     def __getitem__(self, key: str):
         return self.properties[key]
@@ -75,7 +76,8 @@ class Edge:
         return self._graph.edge_properties(self.id)
 
     def get(self, key: str, default=None):
-        return self.properties.get(key, default)
+        value = self._graph.edge_property(self.id, key)
+        return default if value is None else value
 
     def __getitem__(self, key: str):
         return self.properties[key]

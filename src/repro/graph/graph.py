@@ -4,6 +4,9 @@ Storage layout (paper §II):
 
 * node/edge records live in DataBlocks; the node id doubles as the
   row/column index of every matrix,
+* properties live beside them in typed columns, one per attribute
+  (:class:`~repro.graph.properties.PropertyStore`): a filter or group-by
+  gathers an array with one ``take``, a write sets one cell,
 * one Boolean :class:`DeltaMatrix` per relationship type (``R[i,j]`` ⇔ an
   edge of that type from i to j), one per label (diagonal), and one
   combined adjacency ``ADJ`` for untyped traversals,
@@ -37,21 +40,33 @@ __all__ = ["Graph"]
 
 
 class _NodeRecord:
-    __slots__ = ("labels", "props")
+    __slots__ = ("labels",)
 
-    def __init__(self, labels: Tuple[int, ...], props: Dict[int, Any]) -> None:
+    def __init__(self, labels: Tuple[int, ...]) -> None:
         self.labels = labels
-        self.props = props
 
 
 class _EdgeRecord:
-    __slots__ = ("src", "dst", "rel_id", "props")
+    __slots__ = ("src", "dst", "rel_id")
 
-    def __init__(self, src: int, dst: int, rel_id: int, props: Dict[int, Any]) -> None:
+    def __init__(self, src: int, dst: int, rel_id: int) -> None:
         self.src = src
         self.dst = dst
         self.rel_id = rel_id
-        self.props = props
+
+
+class _Cells:
+    """One entity's properties read cell by cell — the ``.get(aid)`` view
+    the index write paths take, without building a dict of every column."""
+
+    __slots__ = ("_store", "_slot")
+
+    def __init__(self, block: DataBlock, slot: int) -> None:
+        self._store = block.store
+        self._slot = slot
+
+    def get(self, aid: int) -> Any:
+        return self._store.get(self._slot, aid)
 
 
 class Graph:
@@ -135,8 +150,10 @@ class Graph:
     ) -> Node:
         label_ids = tuple(self.schema.intern_label(l) for l in labels)
         props = {self.attrs.intern(k): v for k, v in (properties or {}).items()}
-        record = _NodeRecord(label_ids, props)
-        node_id = self._nodes.alloc(record)
+        node_id = self._nodes.alloc(_NodeRecord(label_ids))
+        store = self._nodes.store
+        for aid, value in props.items():
+            store.set(node_id, aid, value)
         self._ensure_capacity(node_id + 1)
         for lid in label_ids:
             self._label_matrix_for(lid).add(node_id, node_id)
@@ -162,7 +179,7 @@ class Graph:
             self._label_matrices[lid].delete(node_id, node_id)
         for index in self._all_indexes():
             if index.label_id in record.labels:
-                index.unindex_node(node_id, record.props)
+                index.unindex_node(node_id, _Cells(self._nodes, node_id))
         self._nodes.free(node_id)
         self._node_out.pop(node_id, None)
         self._node_in.pop(node_id, None)
@@ -190,54 +207,49 @@ class Graph:
         return lid in self._nodes.get(node_id).labels
 
     def node_properties(self, node_id: int) -> Dict[str, Any]:
-        record = self._nodes.get(node_id)
-        return {self.attrs.name_of(a): v for a, v in record.props.items()}
+        return self._properties(self._nodes, node_id)
 
     def node_property(self, node_id: int, key: str):
-        aid = self.attrs.lookup(key)
-        if aid is None:
-            return None
-        return self._nodes.get(node_id).props.get(aid)
+        return self._property(self._nodes, node_id, key)
+
+    def _properties(self, block: DataBlock, eid: int) -> Dict[str, Any]:
+        block.get(eid)  # raises EntityNotFound if absent
+        return {self.attrs.name_of(a): v for a, v in block.store.items(eid)}
+
+    def _property(self, block: DataBlock, eid: int, key: str):
+        block.get(eid)
+        return block.store.get(eid, self.attrs.lookup(key))
 
     # -- columnar gathers (the vectorized execution engine's view) ------
     @staticmethod
     def _ids_list(ids) -> list:
         return ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
 
-    def node_property_column(self, ids, key: str) -> np.ndarray:
-        """One property value per node id, as an object column — the bulk
-        replacement for per-row ``node.properties.get(key)`` probes: a
-        10k-row filter does one gather instead of 10k dict builds.  ``-1`` ids (OPTIONAL
-        MATCH holes) yield None; dead ids raise like per-id access."""
+    def node_property_column(self, ids, key: str):
+        """One property per node id as ``(values, nulls, codes)``: the
+        attribute's typed column (``int64``/``float64``/``bool``, or
+        Python objects) taken at ``ids``, its null mask (None when no cell
+        is null), and for a string column the ``int32`` pool codes (else
+        None).  ``-1`` ids (OPTIONAL MATCH holes) read as null; dead ids
+        raise like per-id access."""
         return self._property_column(self._nodes, ids, key)
 
-    def edge_property_column(self, ids, key: str) -> np.ndarray:
+    def edge_property_column(self, ids, key: str):
         """Edge-side twin of :meth:`node_property_column`."""
         return self._property_column(self._edges, ids, key)
 
-    def _property_column(self, block: DataBlock, ids, key: str) -> np.ndarray:
-        idlist = self._ids_list(ids)
-        out = np.empty(len(idlist), dtype=object)
-        aid = self.attrs.lookup(key)
-        if aid is None:
-            # unknown attribute: all None, but liveness still raises
-            block.gather(idlist)
-            return out
-        slots = block._slots
+    def _property_column(self, block: DataBlock, ids, key: str):
+        if not isinstance(ids, np.ndarray):
+            ids = np.asarray(ids, dtype=np.int64)
         try:
-            # fast path: ids from scans/traversals are live by construction
-            # (tombstones lack .props, oversized ids IndexError — both drop
-            # to the validating gather, which raises EntityNotFound)
-            for i, eid in enumerate(idlist):
-                if eid >= 0:
-                    out[i] = slots[eid].props.get(aid)
-        except (AttributeError, IndexError):
-            out = np.empty(len(idlist), dtype=object)
-            records = block.gather(idlist)  # raises with the per-id message
-            for i, rec in enumerate(records):
-                if rec is not None:
-                    out[i] = rec.props.get(aid)
-        return out
+            values, nulls, codes = block.store.gather(ids, self.attrs.lookup(key))
+        except IndexError:  # an id past every buffer
+            block.check_live(ids)
+            raise
+        if not np.count_nonzero(nulls):
+            return values, None, codes  # a dead slot holds no cells: every id is live
+        block.check_live(ids)  # only a null can hide a dead id
+        return values, nulls, codes
 
     def nodes_have_labels(self, ids, labels: Sequence[str]) -> np.ndarray:
         """Boolean column: which of ``ids`` carry *all* of ``labels``
@@ -283,14 +295,12 @@ class Graph:
             for index in self._all_indexes()
             if aid in index.attr_ids and index.label_id in record.labels
         ]
+        cells = _Cells(self._nodes, node_id) if affected else None
         for index in affected:
-            index.unindex_node(node_id, record.props)
-        if value is None:
-            record.props.pop(aid, None)
-        else:
-            record.props[aid] = value
+            index.unindex_node(node_id, cells)
+        self._nodes.store.set(node_id, aid, value)
         for index in affected:
-            index.index_node(node_id, record.props)
+            index.index_node(node_id, cells)
 
     def add_label(self, node_id: int, label: str) -> None:
         record = self._nodes.get(node_id)
@@ -302,7 +312,7 @@ class Graph:
         self.stats.label_added(lid)
         for index in self._all_indexes():
             if index.label_id == lid:
-                index.index_node(node_id, record.props)
+                index.index_node(node_id, _Cells(self._nodes, node_id))
 
     def remove_label(self, node_id: int, label: str) -> bool:
         record = self._nodes.get(node_id)
@@ -314,7 +324,7 @@ class Graph:
         self.stats.label_removed(lid)
         for index in self._all_indexes():
             if index.label_id == lid:
-                index.unindex_node(node_id, record.props)
+                index.unindex_node(node_id, _Cells(self._nodes, node_id))
         return True
 
     def nodes_with_label(self, label: str) -> np.ndarray:
@@ -339,8 +349,10 @@ class Graph:
         if not self._nodes.exists(dst):
             raise EntityNotFound(f"destination node {dst} does not exist")
         rid = self.schema.intern_reltype(reltype)
-        props = {self.attrs.intern(k): v for k, v in (properties or {}).items()}
-        edge_id = self._edges.alloc(_EdgeRecord(src, dst, rid, props))
+        edge_id = self._edges.alloc(_EdgeRecord(src, dst, rid))
+        store = self._edges.store
+        for key, value in (properties or {}).items():
+            store.set(edge_id, self.attrs.intern(key), value)
         matrix = self._rel_matrix_for(rid)
         new_entry = not matrix.has(src, dst)
         matrix.add(src, dst)
@@ -386,22 +398,14 @@ class Graph:
         return self.schema.reltype_name(self._edges.get(edge_id).rel_id)
 
     def edge_properties(self, edge_id: int) -> Dict[str, Any]:
-        record = self._edges.get(edge_id)
-        return {self.attrs.name_of(a): v for a, v in record.props.items()}
+        return self._properties(self._edges, edge_id)
 
     def edge_property(self, edge_id: int, key: str):
-        aid = self.attrs.lookup(key)
-        if aid is None:
-            return None
-        return self._edges.get(edge_id).props.get(aid)
+        return self._property(self._edges, edge_id, key)
 
     def set_edge_property(self, edge_id: int, key: str, value) -> None:
-        record = self._edges.get(edge_id)
-        aid = self.attrs.intern(key)
-        if value is None:
-            record.props.pop(aid, None)
-        else:
-            record.props[aid] = value
+        self._edges.get(edge_id)
+        self._edges.store.set(edge_id, self.attrs.intern(key), value)
 
     def edges_between(self, src: int, dst: int, reltype: Optional[str] = None) -> List[int]:
         """Edge ids connecting src → dst (optionally restricted by type)."""
@@ -474,16 +478,13 @@ class Graph:
         yield from self._composite_indices.values()
         yield from self._vector_indices.values()
 
-    def _label_member_props(self, label: str) -> Tuple[List[int], List[Dict[int, Any]]]:
-        """(node ids, props dicts) of every node with ``label`` — the
-        backfill gather shared by all three index kinds."""
-        ids: List[int] = []
-        rows: List[Dict[int, Any]] = []
-        slots = self._nodes._slots
-        for nid in self.nodes_with_label(label):
-            ids.append(int(nid))
-            rows.append(slots[int(nid)].props)
-        return ids, rows
+    def backfill(self, index, ids: np.ndarray) -> int:
+        """Insert the live nodes ``ids`` into ``index`` from the property
+        columns — the bulk path shared by CREATE INDEX, GRAPH.BULK and
+        snapshot load.  Returns how many were indexable."""
+        store = self._nodes.store
+        columns = [store.objects(ids, aid) for aid in index.attr_ids]
+        return index.bulk_insert(columns if index.kind == "composite" else columns[0], ids.tolist())
 
     def create_index(self, label: str, attribute: str) -> RangeIndex:
         lid = self.schema.intern_label(label)
@@ -492,8 +493,7 @@ class Graph:
         if key in self._indices:
             raise ConstraintViolation(f"index on :{label}({attribute}) already exists")
         index = RangeIndex(lid, aid)
-        ids, rows = self._label_member_props(label)
-        index.bulk_insert([row.get(aid) for row in rows], ids)
+        self.backfill(index, self.nodes_with_label(label))
         self._indices[key] = index
         self.bump_schema_version()
         return index
@@ -511,8 +511,7 @@ class Graph:
                 f"index on :{label}({', '.join(attributes)}) already exists"
             )
         index = CompositeIndex(lid, aids)
-        ids, rows = self._label_member_props(label)
-        index.bulk_insert(rows, ids)
+        self.backfill(index, self.nodes_with_label(label))
         self._composite_indices[key] = index
         self.bump_schema_version()
         return index
@@ -556,8 +555,7 @@ class Graph:
             )
         except ValueError as exc:
             raise ConstraintViolation(str(exc)) from None
-        ids, rows = self._label_member_props(label)
-        index.bulk_insert([row.get(aid) for row in rows], ids)
+        self.backfill(index, self.nodes_with_label(label))
         self._vector_indices[key] = index
         self.bump_schema_version()
         return index

@@ -630,10 +630,10 @@ class CompositeIndex(_Overlay):
         self.label_id = label_id
         self.attr_ids = tuple(attr_ids)
 
-    def _encode(self, props: Dict[int, Any]) -> Optional[Tuple]:
+    def _encode(self, values: Sequence[Any]) -> Optional[Tuple]:
         key: List[Tuple[int, Any]] = []
-        for aid in self.attr_ids:
-            enc = _enc_value(props.get(aid))
+        for value in values:
+            enc = _enc_value(value)
             if enc is None:
                 break
             key.append(enc)
@@ -642,22 +642,23 @@ class CompositeIndex(_Overlay):
     # -- write side --------------------------------------------------
 
     def index_node(self, node_id: int, props: Dict[int, Any]) -> bool:
-        key = self._encode(props)
+        key = self._encode([props.get(aid) for aid in self.attr_ids])
         if key is None:
             return False
         self.add(int(node_id), key)
         return True
 
     def unindex_node(self, node_id: int, props: Dict[int, Any]) -> None:
-        key = self._encode(props)
+        key = self._encode([props.get(aid) for aid in self.attr_ids])
         if key is not None:
             self.drop(int(node_id), key)
 
-    def bulk_insert(self, rows: Sequence[Dict[int, Any]], ids: Sequence[int]) -> int:
+    def bulk_insert(self, columns: Sequence[Sequence[Any]], ids: Sequence[int]) -> int:
+        """Backfill from one value column per attribute (None = absent)."""
         keys: List[Tuple] = []
         nids: List[int] = []
-        for props, nid in zip(rows, ids):
-            key = self._encode(props)
+        for values, nid in zip(zip(*columns), ids):
+            key = self._encode(values)
             if key is not None:
                 keys.append(key)
                 nids.append(int(nid))

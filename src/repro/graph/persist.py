@@ -28,10 +28,13 @@ arrays.  Invariants:
   ``kind`` (type tag) and ``idx`` columns, where ``idx`` points into the
   per-kind value pool — ``*_ints`` (ints and bools), ``*_floats``,
   ``*_str_blob``/``*_str_offsets`` (UTF-8), ``*_json_blob``/
-  ``*_json_offsets`` (lists/maps, JSON-encoded).  Triples are written in
-  ascending slot order.  Values must be JSON-serializable
-  (str/int/float/bool/None/list/map) — the same restriction RedisGraph
-  values have.
+  ``*_json_offsets`` (lists/maps and ints past int64, JSON-encoded).
+  Triples are written in ascending slot order; several may share one
+  pool entry (a string column writes its pool once).  Values must be
+  JSON-serializable (str/int/float/bool/None/list/map) — the same
+  restriction RedisGraph values have.  In memory the same data is one
+  typed column per attribute (:mod:`repro.graph.properties`), so capture
+  and load move whole arrays.
 * Edge records — parallel columns over live edge slots only:
   ``edge_slot`` (ascending), ``edge_src``, ``edge_dst``, ``edge_rel``.
   The multi-edge map and per-node incidence sets are *derived* state and
@@ -74,6 +77,7 @@ from repro.errors import GraphError
 from repro.graph.config import GraphConfig
 from repro.graph.datablock import DataBlock
 from repro.graph.delta_matrix import DeltaMatrix
+from repro.graph import properties as P
 from repro.graph.graph import Graph, _EdgeRecord, _NodeRecord
 from repro.grblas import Matrix
 from repro.grblas.types import BOOL
@@ -96,9 +100,10 @@ _K_NULL, _K_BOOL, _K_INT, _K_FLOAT, _K_STR, _K_JSON = range(6)
 class GraphSnapshot:
     """A frozen point-in-time image of one graph, ready to serialize.
 
-    Record columns are plain Python lists copied out under the read lock;
-    matrices are :class:`DeltaMatrixView` snapshots, safe to merge after
-    the lock is released because views never observe later writes."""
+    Record columns are plain Python lists and property columns are array
+    copies, taken under the read lock; matrices are
+    :class:`DeltaMatrixView` snapshots, safe to merge after the lock is
+    released because views never observe later writes."""
 
     __slots__ = (
         "meta",
@@ -133,8 +138,8 @@ class GraphSnapshot:
             "edge_dst": np.asarray(self.edge_dst, dtype=_I64),
             "edge_rel": np.asarray(self.edge_rel, dtype=_I64),
         }
-        arrays.update(_encode_props("nprop", *self.nprop))
-        arrays.update(_encode_props("eprop", *self.eprop))
+        arrays.update(_encode_props("nprop", self.nprop))
+        arrays.update(_encode_props("eprop", self.eprop))
         _put_csr(arrays, "adj", self.adj_view)
         for rid, view in enumerate(self.rel_views):
             _put_csr(arrays, f"rel{rid}", view)
@@ -191,39 +196,25 @@ def capture_snapshot(graph: Graph, *, lock: bool = True) -> GraphSnapshot:
     # node columns: one pass, slot order
     label_counts: List[int] = [0] * graph._nodes.capacity
     label_ids: List[int] = []
-    n_owner: List[int] = []
-    n_aid: List[int] = []
-    n_val: List[Any] = []
     for slot, record in graph._nodes.items():
         label_counts[slot] = len(record.labels)
         label_ids.extend(record.labels)
-        for aid, value in record.props.items():
-            n_owner.append(slot)
-            n_aid.append(aid)
-            n_val.append(value)
     snap.node_label_counts = label_counts
     snap.node_label_ids = label_ids
-    snap.nprop = (n_owner, n_aid, n_val)
+    snap.nprop = list(graph._nodes.store.columns())
 
     # edge columns: live slots only, ascending
     e_slot: List[int] = []
     e_src: List[int] = []
     e_dst: List[int] = []
     e_rel: List[int] = []
-    e_owner: List[int] = []
-    e_aid: List[int] = []
-    e_val: List[Any] = []
     for slot, record in graph._edges.items():
         e_slot.append(slot)
         e_src.append(record.src)
         e_dst.append(record.dst)
         e_rel.append(record.rel_id)
-        for aid, value in record.props.items():
-            e_owner.append(slot)
-            e_aid.append(aid)
-            e_val.append(value)
     snap.edge_slot, snap.edge_src, snap.edge_dst, snap.edge_rel = e_slot, e_src, e_dst, e_rel
-    snap.eprop = (e_owner, e_aid, e_val)
+    snap.eprop = list(graph._edges.store.columns())
 
     # matrices: snapshot-isolated overlay views (never flush, never tear)
     snap.adj_view = graph._adj.overlay()
@@ -301,8 +292,6 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
     free_set = set(node_free)
     lab_indptr = data["node_label_indptr"].tolist()
     lab_ids = data["node_label_ids"].tolist()
-    n_owner, n_aid, n_val = _decode_props(data, "nprop")
-    node_props = _props_by_owner(n_owner, n_aid, n_val, node_slots)
     # label tuples are immutable and shared heavily (most nodes carry the
     # same label set) — intern them instead of allocating one per node
     empty_labels: Tuple[int, ...] = ()
@@ -322,9 +311,9 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
         else:
             probe = tuple(lab_ids[start:end])
             labels = label_tuples.setdefault(probe, probe)
-        props = node_props[slot]
-        node_records[slot] = _NodeRecord(labels, props if props is not None else {})
+        node_records[slot] = _NodeRecord(labels)
     graph._nodes = DataBlock.restore(node_records, node_free)
+    _install_props(graph._nodes, data, "nprop")
 
     # edge records; the multi-edge map is derived state, rebuilt by
     # vectorized grouping instead of a dict op per edge
@@ -347,13 +336,11 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
         edge_map.update(
             ((s, d, r), [e]) for s, d, r, e in zip(o_src.tolist(), o_dst.tolist(), o_rel.tolist(), o_slot.tolist())
         )
-    e_owner, e_aid, e_val = _decode_props(data, "eprop")
-    edge_props = _props_by_owner(e_owner, e_aid, e_val, edge_slots)
     edge_records: List[Optional[_EdgeRecord]] = [None] * edge_slots
     for slot, src, dst, rid in zip(e_slot.tolist(), e_src.tolist(), e_dst.tolist(), e_rel.tolist()):
-        props = edge_props[slot]
-        edge_records[slot] = _EdgeRecord(src, dst, rid, props if props is not None else {})
+        edge_records[slot] = _EdgeRecord(src, dst, rid)
     graph._edges = DataBlock.restore(edge_records, edge_free)
+    _install_props(graph._edges, data, "eprop")
 
     graph._node_out = _group_sets(e_src, e_slot)
     graph._node_in = _group_sets(e_dst, e_slot)
@@ -413,19 +400,6 @@ def _put_csr(arrays: Dict[str, np.ndarray], prefix: str, view) -> None:
     merged = view.materialize()
     arrays[f"{prefix}_indptr"] = merged.indptr
     arrays[f"{prefix}_indices"] = merged.indices
-
-
-def _props_by_owner(
-    owners: List[int], aids: List[int], values: List[Any], slots: int
-) -> List[Optional[Dict[int, Any]]]:
-    """Slot-aligned ``{aid: value}`` dicts (None where a slot has none)."""
-    out: List[Optional[Dict[int, Any]]] = [None] * slots
-    for owner, aid, value in zip(owners, aids, values):
-        d = out[owner]
-        if d is None:
-            out[owner] = d = {}
-        d[aid] = value
-    return out
 
 
 def _group_sets(keys: np.ndarray, vals: np.ndarray) -> Dict[int, Set[int]]:
@@ -506,46 +480,66 @@ def _orphan_entries(
 # ---------------------------------------------------------------------------
 
 
-def _encode_props(
-    prefix: str, owners: List[int], aids: List[int], values: List[Any]
-) -> Dict[str, np.ndarray]:
-    kinds = np.empty(len(values), dtype=np.uint8)
-    idxs = np.empty(len(values), dtype=_I64)
-    ints: List[int] = []
-    floats: List[float] = []
-    str_parts: List[bytes] = []
-    json_parts: List[bytes] = []
-    for pos, value in enumerate(values):
-        if value is None:
-            kind, idx = _K_NULL, 0
-        elif isinstance(value, bool):
-            kind, idx = _K_BOOL, len(ints)
-            ints.append(1 if value else 0)
-        elif isinstance(value, int):
-            kind, idx = _K_INT, len(ints)
-            ints.append(value)
-        elif isinstance(value, float):
-            kind, idx = _K_FLOAT, len(floats)
-            floats.append(value)
-        elif isinstance(value, str):
-            kind, idx = _K_STR, len(str_parts)
-            str_parts.append(value.encode("utf-8"))
+def _typed_pieces(columns):
+    """The store's columns (see :meth:`~repro.graph.properties.
+    PropertyStore.columns`) with each ``object`` column split into one
+    piece per value kind: typed arrays, strings with their own pool, and
+    JSON values (lists, maps, ints past int64)."""
+    for aid, kind, slots, values, pool in columns:
+        if kind != P.OBJ:
+            yield aid, kind, slots, values, pool
+            continue
+        kinds = np.array([P.kind_of(v) for v in values.tolist()], dtype=object)
+        for k in set(kinds.tolist()):
+            sel = kinds == k
+            if k == P.STR:
+                yield aid, k, slots[sel], np.arange(int(sel.sum())), values[sel].tolist()
+            else:
+                yield aid, k, slots[sel], values[sel] if k == P.OBJ else values[sel].astype(_POOL_DTYPE[k]), []
+
+
+_POOL_DTYPE = {P.INT: _I64, P.BOOL: _I64, P.FLOAT: np.float64}
+_TAG = {P.INT: _K_INT, P.BOOL: _K_BOOL, P.FLOAT: _K_FLOAT, P.STR: _K_STR, P.OBJ: _K_JSON}
+
+
+def _encode_props(prefix: str, columns) -> Dict[str, np.ndarray]:
+    """v2 property triples from a store's columns: typed pieces move as
+    whole arrays into the int/float pools, and a string piece writes its
+    pool once (its codes become the ``idx`` column)."""
+    owners, aids, kinds, idxs = [np.empty(0, dtype=_I64)], [np.empty(0, dtype=_I64)], [], [np.empty(0, dtype=_I64)]
+    pools: Dict[str, list] = {P.INT: [], P.FLOAT: [], P.STR: [], P.OBJ: []}
+    sizes = dict.fromkeys(pools, 0)
+    for aid, kind, slots, values, pool in _typed_pieces(columns):
+        n = len(slots)
+        home = P.INT if kind == P.BOOL else kind
+        if kind == P.STR:
+            idxs.append(values.astype(_I64) + sizes[home])
+            values = [s.encode("utf-8") for s in pool]
         else:
-            _check_jsonable(value)  # GraphError with a precise message
-            kind, idx = _K_JSON, len(json_parts)
-            json_parts.append(json.dumps(value).encode("utf-8"))
-        kinds[pos] = kind
-        idxs[pos] = idx
+            idxs.append(np.arange(sizes[home], sizes[home] + n, dtype=_I64))
+            if kind == P.OBJ:
+                for value in values.tolist():
+                    _check_jsonable(value)  # GraphError with a precise message
+                values = [json.dumps(v).encode("utf-8") for v in values.tolist()]
+            else:
+                values = [values.astype(_POOL_DTYPE[kind])]
+        pools[home].extend(values)
+        sizes[home] += len(pool) if kind == P.STR else n
+        owners.append(slots.astype(_I64))
+        aids.append(np.full(n, aid, dtype=_I64))
+        kinds.append(np.full(n, _TAG[kind], dtype=np.uint8))
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")  # ascending slot order
     out = {
-        f"{prefix}_owner": np.asarray(owners, dtype=_I64),
-        f"{prefix}_aid": np.asarray(aids, dtype=_I64),
-        f"{prefix}_kind": kinds,
-        f"{prefix}_idx": idxs,
-        f"{prefix}_ints": np.asarray(ints, dtype=_I64),
-        f"{prefix}_floats": np.asarray(floats, dtype=np.float64),
+        f"{prefix}_owner": owner[order],
+        f"{prefix}_aid": np.concatenate(aids)[order],
+        f"{prefix}_kind": np.concatenate([np.empty(0, dtype=np.uint8)] + kinds)[order],
+        f"{prefix}_idx": np.concatenate(idxs)[order],
+        f"{prefix}_ints": np.concatenate([np.empty(0, dtype=_I64)] + pools[P.INT]),
+        f"{prefix}_floats": np.concatenate([np.empty(0, dtype=np.float64)] + pools[P.FLOAT]),
     }
-    out.update(_blob(f"{prefix}_str", str_parts))
-    out.update(_blob(f"{prefix}_json", json_parts))
+    out.update(_blob(f"{prefix}_str", pools[P.STR]))
+    out.update(_blob(f"{prefix}_json", pools[P.OBJ]))
     return out
 
 
@@ -572,28 +566,34 @@ def _split_blob(data, prefix: str) -> List[bytes]:
     return [blob[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]
 
 
-def _decode_props(data, prefix: str) -> Tuple[List[int], List[int], List[Any]]:
-    kinds = data[f"{prefix}_kind"]
-    idxs = data[f"{prefix}_idx"]
+def _install_props(block: DataBlock, data, prefix: str) -> None:
+    """Load one entity class's property triples straight into the block's
+    store: one column install per attribute, typed arrays taken directly
+    from the int/float pools when an attribute has a single kind."""
+    owner, aids = data[f"{prefix}_owner"], data[f"{prefix}_aid"]
+    kinds, idxs = data[f"{prefix}_kind"], data[f"{prefix}_idx"]
     if int(kinds.max(initial=0)) > _K_JSON:
         raise GraphError(f"corrupt snapshot: unknown property kind {int(kinds.max())}")
-    pools = {
-        _K_INT: data[f"{prefix}_ints"].astype(object),
-        _K_FLOAT: data[f"{prefix}_floats"].astype(object),
-        _K_STR: np.asarray(
-            [b.decode("utf-8") for b in _split_blob(data, f"{prefix}_str")], dtype=object
-        ),
-        _K_JSON: _object_array([json.loads(b) for b in _split_blob(data, f"{prefix}_json")]),
-        _K_BOOL: data[f"{prefix}_ints"].astype(bool).astype(object),
-    }
-    # one fancy object-array assignment per kind instead of a Python
-    # branch per value — the decode stays O(kinds present), not O(values)
-    values = np.empty(len(kinds), dtype=object)
-    for kind, pool in pools.items():
-        sel = kinds == kind
-        if sel.any():
-            values[sel] = pool[idxs[sel]]
-    return data[f"{prefix}_owner"].tolist(), data[f"{prefix}_aid"].tolist(), values.tolist()
+    ints, floats = data[f"{prefix}_ints"], data[f"{prefix}_floats"]
+    typed = {_K_INT: ints, _K_FLOAT: floats, _K_BOOL: ints.astype(bool)}
+    pools: Dict[int, np.ndarray] = {}
+    for aid in np.unique(aids).tolist():
+        sel = np.flatnonzero(aids == aid)
+        kind, idx = kinds[sel], idxs[sel]
+        first = int(kind[0])
+        if first in typed and not (kind != first).any():
+            block.store.install(aid, owner[sel], typed[first][idx])
+            continue
+        if not pools:  # decoded once, on the first mixed or string column
+            pools.update({k: v.astype(object) for k, v in typed.items()})
+            pools[_K_STR] = _object_array([b.decode("utf-8") for b in _split_blob(data, f"{prefix}_str")])
+            pools[_K_JSON] = _object_array([json.loads(b) for b in _split_blob(data, f"{prefix}_json")])
+        values = np.full(len(sel), None, dtype=object)
+        for k, pool in pools.items():
+            hit = kind == k
+            if hit.any():
+                values[hit] = pool[idx[hit]]
+        block.store.install(aid, owner[sel], values)
 
 
 def _check_jsonable(value) -> None:

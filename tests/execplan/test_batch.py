@@ -123,9 +123,11 @@ class TestGraphGathers:
         g = Graph("t")
         a = g.create_node(["L"], {"v": 1})
         b = g.create_node(["L"], {})
-        vals = g.node_property_column(np.array([a.id, b.id, -1], dtype=np.int64), "v")
-        assert vals.tolist() == [1, None, None]
-        assert g.node_property_column([a.id], "nope").tolist() == [None]
+        values, nulls, codes = g.node_property_column(np.array([a.id, b.id, -1], dtype=np.int64), "v")
+        assert ValueColumn(values, nulls).to_objects().tolist() == [1, None, None]
+        assert nulls.tolist() == [False, True, True] and codes is None
+        values, nulls, _ = g.node_property_column([a.id], "nope")
+        assert values.tolist() == [None] and nulls.tolist() == [True]
 
     def test_property_column_dead_id_raises(self):
         from repro.errors import EntityNotFound

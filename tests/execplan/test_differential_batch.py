@@ -184,14 +184,22 @@ def test_profile_rowcounts_match_row_engine(db, query):
 FRESH_GRAPH_CASES = [
     ("UNWIND range(1,20) AS x CREATE (n:T {v:x}) RETURN n.v", [(x,) for x in range(1, 21)], None, None),
     # the second 1 must match the node the first 1 created, whatever the
-    # batch size; n.c stays out of the MERGE's own RETURN because handles
-    # are read after the batch's later writes (a granularity effect)
+    # batch size; each row reads n.c as it stood when that row was
+    # produced (MERGE hands buffered rows on before an ON ... SET writes
+    # an entity they bind)
     (
         "UNWIND [1,1,2] AS x MERGE (n:M {v:x}) "
-        "ON CREATE SET n.c = 1 ON MATCH SET n.c = n.c + 1 RETURN n.v",
-        [(1,), (1,), (2,)],
+        "ON CREATE SET n.c = 1 ON MATCH SET n.c = n.c + 1 RETURN n.v, n.c",
+        [(1, 1), (1, 2), (2, 1)],
         "MATCH (n:M) RETURN n.v, n.c ORDER BY n.v",
         [(1, 2), (2, 1)],
+    ),
+    (
+        "MATCH (n:P) WHERE n.n < 3 MERGE (c:C {k: n.n % 2}) "
+        "ON CREATE SET c.c = 1 ON MATCH SET c.c = c.c + 1 RETURN n.n, c.k, c.c",
+        [(0, 0, 1), (1, 1, 1), (2, 0, 2)],
+        "MATCH (c:C) RETURN c.k, c.c ORDER BY c.k",
+        [(0, 2), (1, 1)],
     ),
     # a write op hands its input columns on: the filter's memoised n.n
     # gather must not survive the SET
@@ -257,7 +265,7 @@ def test_fresh_graph_batch_size_invariance(query, expected, followup, followup_e
 # size 7 each line is one batch: pure ints (count(DISTINCT) keys them as
 # int64, so 2**53 and 2**53 + 1 stay apart), an int/float mix (row loop;
 # 1.0 meets the int 1), strings, ints repeating earlier batches, bools
-# next to 0/1 (row loop; true == 1 there), strings again.
+# next to 0/1 (row loop; true is its own key there), strings again.
 _BIG = 2**53
 DISTINCT_VALUES = [
     _BIG + 1, _BIG, 1, 2, 3, 1, _BIG + 1,
@@ -312,7 +320,7 @@ def test_count_distinct_batch_invariance(distinct_db, query):
 
 def test_count_distinct_values_match_python_sets(distinct_db):
     """The exact answers: Python set semantics over the row engine's
-    dedup keys (2**53 != 2**53 + 1, 1 == 1.0 == true, '1' != 1)."""
+    dedup keys (2**53 != 2**53 + 1, 1 == 1.0, true != 1, '1' != 1)."""
     present = [v for v in DISTINCT_VALUES if v is not None]
     by_group = {}
     for i, v in enumerate(DISTINCT_VALUES):
@@ -338,3 +346,63 @@ def test_params_are_batch_invariant(db):
         if rows is None:
             rows = got
         assert got == rows
+
+
+def test_merge_on_match_set_reads_like_the_row_engine():
+    """Each returned row sees the ON ... SET writes made up to it, not the
+    later ones: the row engine's answer, at every batch size."""
+    for size in BATCH_SIZES:
+        d = GraphDB("merge-set", GraphConfig(exec_batch_size=size))
+        d.query("CREATE (:M {k: 1}), (:M {k: 1}), (:M {k: 2})")
+        rows = d.query(
+            "MATCH (n:M) MERGE (c:C {k: n.k}) ON CREATE SET c.c = 1 "
+            "ON MATCH SET c.c = c.c + 1 RETURN n.k, c.c"
+        ).rows
+        assert rows == [(1, 1), (1, 2), (2, 1)], size
+
+
+# Grouping and DISTINCT keep true apart from 1 (``true = 1`` is false),
+# while 1 and 1.0 still meet (``1 = 1.0`` is true).
+BOOL_KEY_CASES = [
+    ("UNWIND [true, 1, false, 0] AS x RETURN x, count(*)", [(True, 1), (1, 1), (False, 1), (0, 1)]),
+    ("UNWIND [true, 1, false, 0] AS x RETURN count(DISTINCT x)", [(4,)]),
+    ("UNWIND [[true], [1]] AS x RETURN DISTINCT x", [([True],), ([1],)]),
+    ("UNWIND [{a: true}, {a: 1}] AS x RETURN count(DISTINCT x)", [(2,)]),
+    ("UNWIND [1, 1.0, true] AS x RETURN count(DISTINCT x)", [(2,)]),
+    ("UNWIND [[1], [1.0], [true]] AS x RETURN DISTINCT x", [([1],), ([True],)]),
+    ("UNWIND [true, 1, 1.0, true] AS x RETURN x, count(*)", [(True, 2), (1, 2)]),
+    ("UNWIND [true, 1, false, 0] AS x RETURN collect(DISTINCT x)", [([True, 1, False, 0],)]),
+]
+
+
+@pytest.mark.parametrize("query,expected", BOOL_KEY_CASES)
+def test_bools_group_apart_from_ints(query, expected):
+    d = GraphDB("bool-keys")
+    cfg = d.graph.config
+    for size in BATCH_SIZES:
+        cfg.exec_batch_size = size
+        rows = d.query(query).rows
+        assert rows == expected and [list(map(type, r)) for r in rows] == [
+            list(map(type, r)) for r in expected
+        ], (query, size)
+
+
+def test_typed_bool_group_keys_meet_row_loop_keys():
+    """A bool property gathers as a typed column; a batch holding a null
+    takes the row loop instead.  Both paths must land in the same groups,
+    apart from a sibling int attribute's 1/0 groups."""
+    d = GraphDB("bool-column")
+    d.query("CREATE (:B {n: 0})")
+    d.query("UNWIND range(1, 1100) AS i CREATE (:B {v: i % 3 = 0, w: i % 2, n: i})")
+    runs = []
+    for size in BATCH_SIZES:
+        d.graph.config.exec_batch_size = size
+        runs.append(
+            (
+                d.query("MATCH (b:B) RETURN b.v, count(*)").rows,
+                d.query("MATCH (b:B) UNWIND [b.v, b.w] AS x RETURN x, count(*)").rows,
+            )
+        )
+    assert runs[0][0] == [(None, 1), (False, 734), (True, 366)]
+    assert runs[0][1] == [(None, 2), (False, 734), (1, 550), (0, 550), (True, 366)]
+    assert all(run == runs[0] for run in runs)

@@ -211,3 +211,32 @@ class TestCypherParamParsing:
     def test_escaped_string(self):
         _, p = parse_cypher_params(r"CYPHER s='it\'s' RETURN 1")
         assert p == {"s": "it's"}
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+def test_entity_reply_shape_is_pinned(batch_size):
+    """``RETURN n`` / ``RETURN r`` decoded off the wire, exactly: property
+    pairs sorted by key, a removed property absent, bools as 1/0, floats
+    as strings, lists nested — at the row-engine and the default batch
+    size."""
+    srv = RedisLikeServer(port=0, config=GraphConfig(thread_count=2, exec_batch_size=batch_size)).start()
+    try:
+        c = RedisClient(port=srv.port)
+        c.execute(
+            "GRAPH.QUERY", "g",
+            "CREATE (:P {i: 7, f: 2.5, b: true, s: 'héllo', l: [1, 'x', [false]], gone: 1})"
+            "-[:R {w: 3, t: 'x', z: -0.5}]->(:P:Q {i: -1, b: false})",
+        )
+        c.execute("GRAPH.QUERY", "g", "MATCH (n:P) WHERE n.i = 7 REMOVE n.gone")
+        header, rows, _ = c.execute("GRAPH.QUERY", "g", "MATCH (n:P) RETURN n ORDER BY id(n)")
+        assert header == ["n"]
+        assert rows == [
+            [["node", 0, ["P"], [["b", 1], ["f", "2.5"], ["i", 7], ["l", [1, "x", [0]]], ["s", "héllo"]]]],
+            [["node", 1, ["P", "Q"], [["b", 0], ["i", -1]]]],
+        ]
+        header, rows, _ = c.execute("GRAPH.QUERY", "g", "MATCH ()-[r]->() RETURN r")
+        assert header == ["r"]
+        assert rows == [[["relationship", 0, "R", 0, 1, [["t", "x"], ["w", 3], ["z", "-0.5"]]]]]
+        c.close()
+    finally:
+        srv.stop()
