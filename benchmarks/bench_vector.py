@@ -56,7 +56,7 @@ def vec_db():
     )
     d.query(f"CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {{dimension: {VEC_DIM}}}")
     ivf = d.graph.get_vector_index("Doc", "emb")
-    assert ivf.trained, "bulk load past vector_train_min must train the quantizer"
+    assert ivf.trained, "bulk load past DEFAULT_TRAIN_MIN must train the quantizer"
     # the exact arm: a standalone `exact: true` index over the same rows —
     # PR 9's flat brute-force path, the timing baseline and answer oracle
     exact = VectorIndex(0, 10, dim=VEC_DIM, exact=True)

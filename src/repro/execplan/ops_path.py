@@ -23,7 +23,6 @@ from repro.execplan.algebraic import AlgebraicExpression
 from repro.execplan.batch import RecordBatch, ValueColumn, object_column
 from repro.execplan.expressions import ExecContext
 from repro.execplan.ops_base import PlanOp
-from repro.execplan.ops_traverse import _edge_candidates
 from repro.execplan.record import Record
 from repro.graph.entities import Edge, Node
 from repro.graph.path import PathValue
@@ -52,10 +51,10 @@ class PathSegment:
 
 
 def _pick_edge(graph, src: int, dst: int, types: Tuple[str, ...], direction: str) -> Edge:
-    candidates = _edge_candidates(graph, src, dst, types, direction)
-    if not candidates:  # pragma: no cover - the traversal proved the hop exists
+    _, eids = graph.hop_edges([src], [dst], types, direction)
+    if not len(eids):  # pragma: no cover - the traversal proved the hop exists
         raise GraphError(f"no edge realizes path hop {src}->{dst}")
-    return Edge(graph, min(eid for eid, _ in candidates))
+    return Edge(graph, int(eids.min()))
 
 
 class ProjectPath(PlanOp):

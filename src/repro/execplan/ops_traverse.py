@@ -55,19 +55,6 @@ def _bound_rows(batch: RecordBatch, *slots: int) -> Tuple[RecordBatch, List[np.n
     return batch.compress(bound), [v[bound] for v in ids]
 
 
-def _edge_candidates(graph, src: int, dst: int, types: Tuple[str, ...], direction: str) -> List[Tuple[int, bool]]:
-    """Edge ids realizing one (src, dst) hop; bool marks a reversed match
-    (for undirected patterns).  Every matrix entry owns at least one."""
-    out: List[Tuple[int, bool]] = []
-    type_list = list(types) if types else [None]
-    for t in type_list:
-        if direction in ("out", "any"):
-            out.extend((eid, False) for eid in graph.edges_between(src, dst, t))
-        if direction in ("in", "any"):
-            out.extend((eid, True) for eid in graph.edges_between(dst, src, t))
-    return out
-
-
 class ConditionalTraverse(PlanOp):
     """One relationship hop: ``(src)-[:T]->(dst)`` with ``src`` bound.
 
@@ -136,25 +123,14 @@ class ConditionalTraverse(PlanOp):
             return batch.take(rec_idx).extend(
                 self.out_layout, [EntityColumn("node", dst_ids, graph)]
             )
-        # edge variable: fan each (src, dst) hop out into its edge records,
-        # in the same (record, dst, edge) order the row engine emitted
-        out_idx: List[int] = []
-        out_dst: List[int] = []
-        out_eid: List[int] = []
-        for r, dst in zip(rec_idx.tolist(), dst_ids.tolist()):
-            src = int(src_ids[r])
-            for eid, _reversed in _edge_candidates(graph, src, dst, self._types, self._direction):
-                out_idx.append(r)
-                out_dst.append(dst)
-                out_eid.append(eid)
-        if not out_idx:
+        # edge variable: fan each (src, dst) hop out into its edge records
+        # with one batched edge-id seek, keeping the (record, dst) order
+        hop, eids = graph.hop_edges(src_ids[rec_idx], dst_ids, self._types, self._direction)
+        if not len(hop):
             return None
-        return batch.take(np.asarray(out_idx, dtype=_I64)).extend(
+        return batch.take(rec_idx[hop]).extend(
             self.out_layout,
-            [
-                EntityColumn("node", np.asarray(out_dst, dtype=_I64), graph),
-                EntityColumn("edge", np.asarray(out_eid, dtype=_I64), graph),
-            ],
+            [EntityColumn("node", dst_ids[hop], graph), EntityColumn("edge", eids, graph)],
         )
 
 
@@ -214,19 +190,11 @@ class ExpandInto(PlanOp):
             return None
         if self._edge_slot is None:
             return batch.compress(hit)
-        out_idx: List[int] = []
-        out_eid: List[int] = []
-        for r in np.flatnonzero(hit).tolist():
-            for eid, _rev in _edge_candidates(
-                graph, int(src_ids[r]), int(dst_ids[r]), self._types, self._direction
-            ):
-                out_idx.append(r)
-                out_eid.append(eid)
-        if not out_idx:
+        rows = np.flatnonzero(hit)
+        hop, eids = graph.hop_edges(src_ids[rows], dst_ids[rows], self._types, self._direction)
+        if not len(hop):
             return None
-        return batch.take(np.asarray(out_idx, dtype=_I64)).extend(
-            self.out_layout, [EntityColumn("edge", np.asarray(out_eid, dtype=_I64), graph)]
-        )
+        return batch.take(rows[hop]).extend(self.out_layout, [EntityColumn("edge", eids, graph)])
 
 
 class CondVarLenTraverse(PlanOp):

@@ -17,8 +17,9 @@ atomic pass under the graph's write lock:
 * bookkeeping matches the per-entity path exactly — new labels and
   relationship types bump the schema version (invalidating cached
   plans), existing exact-match indexes are backfilled from the staged
-  attribute columns, and ``_edge_map``/adjacency-set maintenance keeps
-  bulk-created edges deletable and traversable like any other.
+  attribute columns, and each touched type's edge-id stores fold the new
+  edges in one sort, so bulk-created edges are deletable and traversable
+  like any other.
 
 Edge endpoints come in two flavors: ``endpoints="batch"`` (the default
 for ingestion) interprets src/dst as 0-based indices into the nodes
@@ -355,32 +356,25 @@ class BulkWriter:
             ids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             graph._label_matrix_for(lid).union_splice(ids, ids)
 
-        # -- edges: records, maps, relation/adjacency splices -----------
-        by_rel: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        # -- edges: records, edge ids, relation/adjacency splices --------
+        by_rel: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         for eb in self._edge_batches:
             rid = graph.schema.intern_reltype(eb.reltype)
             if eb.endpoints == "batch":
                 src, dst = node_ids[eb.src], node_ids[eb.dst]
             else:
                 src, dst = eb.src, eb.dst
-            by_rel.setdefault(rid, []).append((src, dst))
-            src_list, dst_list = src.tolist(), dst.tolist()
-            records = [_EdgeRecord(s, d, rid) for s, d in zip(src_list, dst_list)]
-            edge_id_arr = graph._edges.alloc_many(records)
-            report.properties_set += _install(graph._edges, graph, edge_id_arr, eb.props)
-            edge_ids = edge_id_arr.tolist()
+            records = [_EdgeRecord(s, d, rid) for s, d in zip(src.tolist(), dst.tolist())]
+            edge_ids = graph._edges.alloc_many(records)
+            report.properties_set += _install(graph._edges, graph, edge_ids, eb.props)
             report.relationships_created += len(records)
             graph.stats.edge_records_created_bulk(rid, len(records))
-            edge_map, node_out, node_in = graph._edge_map, graph._node_out, graph._node_in
-            for eid, s, d in zip(edge_ids, src_list, dst_list):
-                edge_map.setdefault((s, d, rid), []).append(eid)
-                node_out.setdefault(s, set()).add(eid)
-                node_in.setdefault(d, set()).add(eid)
+            by_rel.setdefault(rid, []).append((edge_ids, src, dst))
         all_src: List[np.ndarray] = []
         all_dst: List[np.ndarray] = []
-        for rid, pairs in by_rel.items():
-            src = np.concatenate([p[0] for p in pairs]) if len(pairs) > 1 else pairs[0][0]
-            dst = np.concatenate([p[1] for p in pairs]) if len(pairs) > 1 else pairs[0][1]
+        for rid, parts in by_rel.items():
+            eids, src, dst = (np.concatenate(col) for col in zip(*parts))
+            graph.bulk_edge_ids(rid, eids, src, dst)
             report.matrix_entries_added += graph._rel_matrix_for(rid).union_splice(src, dst)
             all_src.append(src)
             all_dst.append(dst)

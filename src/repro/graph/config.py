@@ -134,30 +134,6 @@ CONFIG_SPECS: Tuple[ConfigSpec, ...] = (
         ),
     ),
     ConfigSpec(
-        name="vector_nprobe_default",
-        default=16,
-        env="REPRO_VECTOR_NPROBE_DEFAULT",
-        mutable=True,
-        min=1,
-        doc=(
-            "IVF buckets a vector top-k query probes when neither the "
-            "query nor the index overrides it (clamped to the trained "
-            "bucket count); higher trades latency for recall."
-        ),
-    ),
-    ConfigSpec(
-        name="vector_train_min",
-        default=1024,
-        env="REPRO_VECTOR_TRAIN_MIN",
-        mutable=True,
-        min=1,
-        doc=(
-            "Vectors a vector index must hold before it trains its IVF "
-            "coarse quantizer; below this (or with exact: true) queries "
-            "stay on the brute-force path."
-        ),
-    ),
-    ConfigSpec(
         name="wal_fsync",
         type=str,
         default="everysec",
@@ -211,10 +187,6 @@ class GraphConfig:
     cost_based_planner: int = field(
         default_factory=_spec_default("cost_based_planner")
     )
-    vector_nprobe_default: int = field(
-        default_factory=_spec_default("vector_nprobe_default")
-    )
-    vector_train_min: int = field(default_factory=_spec_default("vector_train_min"))
 
     wal_fsync: str = field(default_factory=_spec_default("wal_fsync"))
     wal_rotate_bytes: int = field(default_factory=_spec_default("wal_rotate_bytes"))

@@ -351,7 +351,7 @@ class DeltaMatrix:
 
     def _in_base(self, key: int) -> bool:
         keys = self._base_linear()
-        pos = int(np.searchsorted(keys, key))
+        pos = int(keys.searchsorted(key))
         return pos < len(keys) and keys[pos] == key
 
     def _check_bounds(self, i: int, j: int) -> None:

@@ -15,12 +15,16 @@ Storage layout (paper §II):
 * a reader-writer lock arbitrates the query thread pool.
 
 Multi-edges: several edges of one type may connect the same (src, dst)
-pair; the matrix entry is shared and ``_edge_map`` tracks the edge ids.
+pair; the matrix entry is shared.  Each type keeps its edge ids in two
+:class:`~repro.graph.overlay.Overlay` stores — the secondary indexes'
+write discipline — keyed ``src << 32 | dst`` and ``dst << 32 | src``:
+an equality seek finds the edges of a pair, a key-range seek a node's
+out- or in-edges.  The keys do not depend on the matrix capacity.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,12 +35,23 @@ from repro.graph.datablock import DataBlock
 from repro.graph.delta_matrix import DeltaMatrix
 from repro.graph.entities import Edge, Node
 from repro.graph.index import CompositeIndex, RangeIndex, VectorIndex
+from repro.graph.overlay import Overlay
 from repro.graph.rwlock import RWLock
 from repro.graph.schema import Schema
 from repro.graph.statistics import StatisticsStore
 from repro.grblas import Matrix
 
 __all__ = ["Graph"]
+
+_I64 = np.int64
+_EMPTY = np.empty(0, dtype=_I64)
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1  # a key's low half: the second node
+
+
+def pair_keys(first, second):
+    """Edge-id store keys of node pairs: ``first << 32 | second``."""
+    return first << _SHIFT | second
 
 
 class _NodeRecord:
@@ -84,9 +99,7 @@ class Graph:
         self._adj = self._new_matrix()
         self._rel_matrices: List[DeltaMatrix] = []
         self._label_matrices: List[DeltaMatrix] = []
-        self._edge_map: Dict[Tuple[int, int, int], List[int]] = {}
-        self._node_out: Dict[int, Set[int]] = {}
-        self._node_in: Dict[int, Set[int]] = {}
+        self._edge_ids: List[Tuple[Overlay, Overlay]] = []  # per type: by src, by dst
         self._indices: Dict[Tuple[int, int], RangeIndex] = {}
         self._composite_indices: Dict[Tuple[int, Tuple[int, ...]], CompositeIndex] = {}
         self._vector_indices: Dict[Tuple[int, int], VectorIndex] = {}
@@ -168,23 +181,42 @@ class Graph:
         (DETACH DELETE); otherwise a connected node raises.  Returns the
         number of edges deleted alongside the node."""
         record = self._nodes.get(node_id)
-        incident = self._node_out.get(node_id, set()) | self._node_in.get(node_id, set())
-        if incident and not detach:
+        outs = self._incident(node_id, 0)
+        # a self-loop shows on both sides: it counts with the out-edges
+        ins = [(keys[other], ids[other]) for keys, ids in self._incident(node_id, 1)
+               for other in [keys & _LOW != node_id]]
+        count = sum(len(ids) for _, ids in outs + ins)
+        if count and not detach:
             raise ConstraintViolation(
-                f"cannot delete node {node_id}: {len(incident)} incident edges (use DETACH DELETE)"
+                f"cannot delete node {node_id}: {count} incident edges (use DETACH DELETE)"
             )
-        for eid in list(incident):
-            self.delete_edge(eid)
+        # every edge of every pair touching the node goes, so each pair's
+        # relation-matrix and ADJ entries go without a sibling check
+        adj_pairs = set()
+        for rid, ((out_keys, out_ids), (in_keys, in_ids)) in enumerate(zip(outs, ins)):
+            if not len(out_ids) and not len(in_ids):
+                continue
+            self._drop_edges(rid, out_ids.tolist() + in_ids.tolist())
+            pairs = [(node_id, dst) for dst in (out_keys & _LOW).tolist()]
+            pairs += [(src, node_id) for src in (in_keys & _LOW).tolist()]
+            matrix, seen = self._rel_matrices[rid], set()
+            for src, dst in pairs:
+                first = (src, dst) not in seen
+                if first:
+                    seen.add((src, dst))
+                    matrix.delete(src, dst)
+                self.stats.edge_deleted(rid, src, dst, first)
+            adj_pairs |= seen
+        for src, dst in adj_pairs:
+            self._adj.delete(src, dst)
         for lid in record.labels:
             self._label_matrices[lid].delete(node_id, node_id)
         for index in self._all_indexes():
             if index.label_id in record.labels:
                 index.unindex_node(node_id, _Cells(self._nodes, node_id))
         self._nodes.free(node_id)
-        self._node_out.pop(node_id, None)
-        self._node_in.pop(node_id, None)
         self.stats.node_deleted(record.labels)
-        return len(incident)
+        return count
 
     def has_node(self, node_id: int) -> bool:
         return self._nodes.exists(node_id)
@@ -357,31 +389,33 @@ class Graph:
         new_entry = not matrix.has(src, dst)
         matrix.add(src, dst)
         self._adj.add(src, dst)
-        self._edge_map.setdefault((src, dst, rid), []).append(edge_id)
-        self._node_out.setdefault(src, set()).add(edge_id)
-        self._node_in.setdefault(dst, set()).add(edge_id)
+        by_src, by_dst = self._edge_ids_for(rid)
+        by_src.add(edge_id, pair_keys(src, dst))
+        by_dst.add(edge_id, pair_keys(dst, src))
         self.stats.edge_created(rid, src, dst, new_entry)
         return Edge(self, edge_id)
 
     def delete_edge(self, edge_id: int) -> None:
-        record = self._edges.free(edge_id)
-        key = (record.src, record.dst, record.rel_id)
-        siblings = self._edge_map.get(key, [])
-        if edge_id in siblings:
-            siblings.remove(edge_id)
-        if not siblings:
-            self._edge_map.pop(key, None)
-            self._rel_matrices[record.rel_id].delete(record.src, record.dst)
+        record = self._edges.get(edge_id)
+        rid, src, dst = record.rel_id, record.src, record.dst
+        hits, _ = self._edge_ids[rid][0].seek_keys(np.array([pair_keys(src, dst)]))
+        self._drop_edges(rid, [edge_id])
+        last = len(hits) == 1  # no sibling of the same type and pair is left
+        if last:
+            self._rel_matrices[rid].delete(src, dst)
             # the combined adjacency entry drops only when *no* relation
             # type still connects the pair
-            if not any(
-                (record.src, record.dst, rid) in self._edge_map
-                for rid in range(self.schema.reltype_count)
-            ):
-                self._adj.delete(record.src, record.dst)
-        self._node_out.get(record.src, set()).discard(edge_id)
-        self._node_in.get(record.dst, set()).discard(edge_id)
-        self.stats.edge_deleted(record.rel_id, record.src, record.dst, not siblings)
+            if not any(m.has(src, dst) for m in self._rel_matrices):
+                self._adj.delete(src, dst)
+        self.stats.edge_deleted(rid, src, dst, last)
+
+    def _drop_edges(self, rid: int, eids: List[int]) -> None:
+        """Free the records of live edges of one type and drop their ids."""
+        for eid in eids:
+            self._edges.free(eid)
+        by_src, by_dst = self._edge_ids[rid]
+        by_src.drop_held(eids)
+        by_dst.drop_held(eids)
 
     def has_edge(self, edge_id: int) -> bool:
         return self._edges.exists(edge_id)
@@ -407,23 +441,65 @@ class Graph:
         self._edges.get(edge_id)
         self._edges.store.set(edge_id, self.attrs.intern(key), value)
 
+    def hop_edges(
+        self, src: Sequence[int], dst: Sequence[int], types: Sequence[str] = (), direction: str = "out"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every edge realizing each hop ``src[i] → dst[i]``, as ``(hop
+        index, edge id)`` arrays.  ``types`` restricts the edges (empty:
+        every type); ``direction`` "in" reads each hop as ``dst[i] →
+        src[i]`` and "any" both ways, a self-loop once.  Rows come by hop,
+        then ``types`` order, then out before in, then ascending id."""
+        src, dst = np.asarray(src, dtype=_I64), np.asarray(dst, dtype=_I64)
+        rids = [self.schema.reltype_id(t) for t in types] if types else range(self.schema.reltype_count)
+        probes = []  # (keys, the hops they probe; None = all)
+        if direction != "in":
+            probes.append((pair_keys(src, dst), None))
+        if direction != "out":
+            hops = np.flatnonzero(src != dst) if direction == "any" else None
+            rev = pair_keys(dst, src)
+            probes.append((rev if hops is None else rev[hops], hops))
+        parts = []
+        for pos, rid in enumerate(rids):
+            if rid is None or rid >= len(self._edge_ids):
+                continue
+            by_src = self._edge_ids[rid][0]
+            for way, (keys, hops) in enumerate(probes):
+                q, eids = by_src.seek_keys(keys)
+                parts.append((q if hops is None else hops[q], eids, np.full(len(q), 2 * pos + way)))
+        if not parts:
+            return _EMPTY, _EMPTY
+        hop, eids, rank = (np.concatenate(p) for p in zip(*parts))
+        order = np.lexsort((eids, rank, hop))
+        return hop[order], eids[order]
+
     def edges_between(self, src: int, dst: int, reltype: Optional[str] = None) -> List[int]:
         """Edge ids connecting src → dst (optionally restricted by type)."""
-        if reltype is not None:
-            rid = self.schema.reltype_id(reltype)
-            if rid is None:
-                return []
-            return list(self._edge_map.get((src, dst, rid), ()))
-        out: List[int] = []
-        for rid in range(self.schema.reltype_count):
-            out.extend(self._edge_map.get((src, dst, rid), ()))
-        return out
+        types = () if reltype is None else (reltype,)
+        return self.hop_edges([src], [dst], types)[1].tolist()
+
+    def _incident(self, node_id: int, side: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per type, ``(key, edge id)`` of the node's out- (side 0) or
+        in-edges (side 1); a key's low half is the other endpoint."""
+        lo = pair_keys(node_id, 0)
+        return [store[side].seek_range(lo, lo + _LOW + 1) for store in self._edge_ids]
 
     def out_edges(self, node_id: int) -> List[int]:
-        return sorted(self._node_out.get(node_id, ()))
+        return sorted(e for _, ids in self._incident(node_id, 0) for e in ids.tolist())
 
     def in_edges(self, node_id: int) -> List[int]:
-        return sorted(self._node_in.get(node_id, ()))
+        return sorted(e for _, ids in self._incident(node_id, 1) for e in ids.tolist())
+
+    def _edge_ids_for(self, rid: int) -> Tuple[Overlay, Overlay]:
+        while rid >= len(self._edge_ids):
+            self._edge_ids.append((Overlay(_EMPTY), Overlay(_EMPTY)))
+        return self._edge_ids[rid]
+
+    def bulk_edge_ids(self, rid: int, eids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """Fold many new edges of one type into its edge-id stores, one
+        sort each — the bulk-ingest and snapshot-load path."""
+        by_src, by_dst = self._edge_ids_for(rid)
+        by_src.fold(eids, (pair_keys(src, dst),))
+        by_dst.fold(eids, (pair_keys(dst, src),))
 
     # ------------------------------------------------------------------
     # Matrix access (the traversal engine's view)
@@ -550,8 +626,6 @@ class Graph:
                 nlist=nlist,
                 nprobe=nprobe,
                 exact=exact,
-                nprobe_default=self.config.vector_nprobe_default,
-                train_min=self.config.vector_train_min,
             )
         except ValueError as exc:
             raise ConstraintViolation(str(exc)) from None
@@ -606,15 +680,6 @@ class Graph:
             (self.schema.label_name(lid), tuple(self.attrs.name_of(a) for a in aids))
             for lid, aids in list(self._composite_indices)
         ]
-
-    def vector_index_specs(self) -> List[Tuple[str, str, Dict[str, Any]]]:
-        """Every vector index as (label name, attribute name, options)."""
-        out = []
-        for (lid, aid), index in list(self._vector_indices.items()):
-            out.append(
-                (self.schema.label_name(lid), self.attrs.name_of(aid), index.options)
-            )
-        return out
 
     def get_index(self, label: str, attribute: str) -> Optional[RangeIndex]:
         lid = self.schema.label_id(label)

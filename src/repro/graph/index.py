@@ -2,12 +2,12 @@
 
 Three index kinds share one maintenance surface (``index_node`` /
 ``unindex_node`` / ``bulk_insert`` keyed by interned attribute ids) and
-one write discipline, :class:`_Overlay`: a base of node ids with
-parallel columns, plus a pending overlay (adds keyed by node id and a
-deleted-id set) that every write lands in and that folds into the base once
-:data:`FOLD_THRESHOLD` entries are pending — the paper's ``DeltaMatrix``
-discipline, so reads never rebuild anything.  Each kind keeps only its
-key encoding, its sort order and its read kernel:
+one write discipline, :class:`~repro.graph.overlay.Overlay`: a base of
+node ids with parallel columns, plus a pending overlay (adds keyed by node
+id and a deleted-id set) that every write lands in and that folds into the
+base once :data:`~repro.graph.overlay.FOLD_THRESHOLD` entries are pending
+— the paper's ``DeltaMatrix`` discipline, so reads never rebuild anything.
+Each kind keeps only its key encoding, its sort order and its read kernel:
 
 * :class:`RangeIndex` — the workhorse.  Keys live in sorted numpy arrays
   parallel to an ``int64`` node-id array, one overlay per *type family*
@@ -26,7 +26,7 @@ key encoding, its sort order and its read kernel:
 * :class:`VectorIndex` — cosine top-k over L2-normalized ``float64``
   vectors.  Small or ``exact: true`` indexes answer with one matmul +
   sort over a flat matrix (exact by construction, ties break toward the
-  lower node id).  Past ``vector_train_min`` rows the index trains an
+  lower node id).  Past :data:`DEFAULT_TRAIN_MIN` rows the index trains an
   IVF (inverted-file) layout: a spherical k-means coarse quantizer
   (k-means++ seeding, a few Lloyd's rounds over a subsample) assigns
   every vector to one of ``nlist`` centroid buckets stored as
@@ -53,24 +53,13 @@ monotone: ``float(a) < float(b)`` implies ``a < b``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-__all__ = [
-    "RangeIndex",
-    "CompositeIndex",
-    "VectorIndex",
-    "FOLD_THRESHOLD",
-]
+from repro.graph.overlay import _EMPTY_IDS, _I64, Overlay, _search
 
-_I64 = np.int64
-_EMPTY_IDS = np.empty(0, dtype=_I64)
-_MISSING = object()
-
-#: pending overlay entries (adds + deletes) at which an index folds its
-#: overlay into the base; read at every write, so tests may patch it
-FOLD_THRESHOLD = 512
+__all__ = ["RangeIndex", "CompositeIndex", "VectorIndex"]
 
 # Type families.  The ranks only matter inside composite keys, where
 # they impose one total order across otherwise-incomparable families.
@@ -92,10 +81,6 @@ def _family_of(value: Any) -> Optional[int]:
     if isinstance(value, str):
         return _F_STR
     return None
-
-
-def _indexable(value: Any) -> bool:
-    return _family_of(value) is not None
 
 
 def _float_key(value: Any) -> float:
@@ -123,161 +108,7 @@ def _prefix_upper(prefix: str) -> Optional[str]:
     return None
 
 
-def _search(keys: np.ndarray, key: Any, side: str) -> int:
-    """searchsorted for one key; the probe is boxed so a tuple key stays
-    one value instead of being unpacked into several."""
-    probe = np.empty(1, dtype=keys.dtype)
-    probe[0] = key
-    return int(keys.searchsorted(probe, side=side)[0])
-
-
-def _append(ids: np.ndarray, cols: Tuple[np.ndarray, ...], more_ids: np.ndarray, more_cols):
-    return (
-        np.concatenate([ids, more_ids]),
-        tuple(np.concatenate([c, m]) for c, m in zip(cols, more_cols)),
-    )
-
-
-class _Overlay:
-    """Node ids with parallel columns in a base, plus the pending overlay
-    every write lands in: the adds (node id → stored value, in write
-    order) and the set of ids deleted from the base.  Once
-    :data:`FOLD_THRESHOLD` entries are pending the overlay folds into the
-    base.  Reads see the base minus the deletes plus the adds and never
-    fold, so they are safe under the query read lock.
-
-    :meth:`_columns` turns stored values into base columns.  A ``sorted``
-    base is kept in stable order of its first column (the sort key); an
-    unsorted one (the vector index) appends instead."""
-
-    __slots__ = ("ids", "cols", "adds", "dels", "live")
-
-    sorted = True
-
-    def __init__(self, *cols: np.ndarray) -> None:
-        self.ids = _EMPTY_IDS
-        self.cols: Tuple[np.ndarray, ...] = cols
-        self.adds: Dict[int, Any] = {}
-        self.dels: Set[int] = set()
-        self.live = 0
-
-    def _columns(self, values: List[Any]) -> Tuple[np.ndarray, ...]:
-        """Base columns for a list of stored values: by default the values
-        themselves, shaped like the one base column."""
-        like = self.cols[0]
-        if like.ndim == 2:
-            return (np.vstack(values),)
-        return (np.fromiter(values, dtype=like.dtype, count=len(values)),)
-
-    # -- write side --------------------------------------------------
-
-    def add(self, nid: int, value: Any) -> None:
-        self.adds[nid] = value
-        self.live += 1
-        self._maybe_fold()
-
-    def drop(self, nid: int, key: Any = None) -> None:
-        """Remove ``nid``'s entry; ``key`` (its sort key) locates it in a
-        sorted base.  A no-op for an id the index does not hold."""
-        if self.adds.pop(nid, _MISSING) is not _MISSING:
-            self.live -= 1
-            return
-        if nid in self.dels:
-            return
-        ids = self.ids
-        if self.sorted:
-            keys = self.cols[0]
-            ids = ids[_search(keys, key, "left") : _search(keys, key, "right")]
-        if (ids == nid).any():
-            self.dels.add(nid)
-            self.live -= 1
-            self._maybe_fold()
-
-    def bulk(self, ids: Sequence[int], values: List[Any]) -> None:
-        """Backfill: fold the overlay together with many stored values
-        (``values[i]`` belongs to ``ids[i]``) in one sort."""
-        if not ids:
-            self.fold()
-            return
-        self.fold(np.asarray(ids, dtype=_I64), self._columns(values))
-
-    def _maybe_fold(self) -> None:
-        if len(self.adds) + len(self.dels) >= FOLD_THRESHOLD:
-            self.fold()
-
-    def fold(self, ids: Optional[np.ndarray] = None, cols: Sequence[np.ndarray] = ()) -> None:
-        """Fold the overlay into the base; bulk rows ``ids`` with parallel
-        ``cols`` are appended after the pending adds."""
-        if ids is None and not self.adds and not self.dels:
-            return
-        dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
-        new_ids, new_cols = self.pending()
-        if ids is not None:
-            new_ids, new_cols = _append(new_ids, new_cols, ids, cols)
-            self.live += len(ids)
-        all_ids, all_cols = _append(*self._base_live(), new_ids, new_cols)
-        if self.sorted and len(new_ids):
-            order = np.argsort(all_cols[0], kind="stable")
-            all_ids, all_cols = all_ids[order], tuple(c[order] for c in all_cols)
-        self.ids, self.cols = all_ids, all_cols
-        self.adds, self.dels = {}, set()
-        self._folded(dead, new_ids, new_cols)
-
-    def _folded(self, dead: np.ndarray, ids: np.ndarray, cols: Tuple[np.ndarray, ...]) -> None:
-        """Runs after every fold with the ids dropped from the base and
-        the rows appended to it."""
-
-    # -- read side ---------------------------------------------------
-
-    def _live_mask(self, ids: np.ndarray) -> Optional[np.ndarray]:
-        """Which of ``ids`` are not deleted; None when none can be."""
-        if not self.dels or not len(ids):
-            return None
-        return ~np.isin(ids, np.fromiter(self.dels, dtype=_I64, count=len(self.dels)))
-
-    def _base_live(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        keep = self._live_mask(self.ids)
-        if keep is None:
-            return self.ids, self.cols
-        return self.ids[keep], tuple(c[keep] for c in self.cols)
-
-    def pending(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """The pending adds as an id array with parallel columns."""
-        adds = self.adds
-        if not adds:
-            return _EMPTY_IDS, tuple(c[:0] for c in self.cols)
-        ids = np.fromiter(adds, dtype=_I64, count=len(adds))
-        return ids, self._columns(list(adds.values()))
-
-    def view(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Every live entry: the base minus deletes, then the pending adds."""
-        ids, cols = self._base_live()
-        if self.adds:
-            ids, cols = _append(ids, cols, *self.pending())
-        return ids, cols
-
-    def visible(self, base_ids: np.ndarray, match: Callable[[Any], bool]) -> np.ndarray:
-        """Sorted unique live ids of one seek: ``base_ids`` (the base's
-        hits) minus deletes, plus the pending adds whose stored value
-        ``match`` accepts."""
-        keep = self._live_mask(base_ids)
-        if keep is not None:
-            base_ids = base_ids[keep]
-        extra = [nid for nid, value in self.adds.items() if match(value)]
-        if extra:
-            base_ids = np.concatenate([base_ids, np.asarray(extra, dtype=_I64)])
-        return np.unique(base_ids)
-
-    def distinct_keys(self) -> int:
-        """Distinct base keys, counting every pending add as new."""
-        keys = self.cols[0]
-        return (len(np.unique(keys)) if len(keys) else 0) + len(self.adds)
-
-    def __len__(self) -> int:
-        return self.live
-
-
-class _FamilyStore(_Overlay):
+class _FamilyStore(Overlay):
     """One type family of a :class:`RangeIndex`, storing the raw values.
     Columns: the sort key (a float64 for numbers, the value itself
     otherwise) and, for numbers only, the raw value — big ints share
@@ -613,7 +444,7 @@ def _enc_value(value: Any) -> Optional[Tuple[int, Any]]:
     return (family, value)
 
 
-class CompositeIndex(_Overlay):
+class CompositeIndex(Overlay):
     """Sorted index over an ordered attribute tuple; equality on any
     leading prefix of the tuple is one binary-search slice.  A node is
     indexed under its longest indexable *prefix* of the attribute tuple
@@ -702,8 +533,11 @@ _LLOYD_ITERATIONS = 5
 _ASSIGN_CHUNK = 8192
 #: a bucket this many times the mean size marks the layout as drifted
 _IMBALANCE_FACTOR = 6.0
-#: fallback knob values for a VectorIndex built outside a Graph
+#: IVF buckets a query probes when neither the query nor the index sets
+#: ``nprobe`` (clamped to the trained bucket count); read at query time
 DEFAULT_NPROBE = 16
+#: vectors an index must hold before it trains its IVF coarse quantizer;
+#: read at every fold, so tests may patch it
 DEFAULT_TRAIN_MIN = 1024
 
 
@@ -737,7 +571,7 @@ def _nearest_centroid(mat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-class VectorIndex(_Overlay):
+class VectorIndex(Overlay):
     """Cosine top-k with an IVF (inverted-file) fast path.
 
     Values are lists of finite numbers with the configured dimension;
@@ -745,7 +579,7 @@ class VectorIndex(_Overlay):
     always maintained as the overlay's base (appended, never sorted) — it
     is the exact brute-force path (one matmul plus
     a sort, ties broken toward the lower node id), serving every query
-    while the index is untrained (fewer than ``train_min`` rows, or
+    while the index is untrained (fewer than :data:`DEFAULT_TRAIN_MIN` rows, or
     ``exact=True``) and remaining the differential-testing oracle after
     training.  Once trained, queries probe the ``nprobe`` buckets whose
     centroids score highest, scan those buckets plus the pending tail
@@ -765,8 +599,6 @@ class VectorIndex(_Overlay):
         "exact",
         "nlist_opt",
         "nprobe_opt",
-        "_nprobe_default",
-        "_train_min",
         "_centroids",
         "_bucket_ids",
         "_bucket_mats",
@@ -784,8 +616,6 @@ class VectorIndex(_Overlay):
         nlist: Optional[int] = None,
         nprobe: Optional[int] = None,
         exact: bool = False,
-        nprobe_default: int = DEFAULT_NPROBE,
-        train_min: int = DEFAULT_TRAIN_MIN,
     ) -> None:
         if similarity != "cosine":
             raise ValueError(f"unsupported vector similarity {similarity!r}")
@@ -797,8 +627,6 @@ class VectorIndex(_Overlay):
         self.exact = bool(exact)
         self.nlist_opt = int(nlist) if nlist is not None else None
         self.nprobe_opt = int(nprobe) if nprobe is not None else None
-        self._nprobe_default = max(1, int(nprobe_default))
-        self._train_min = max(1, int(train_min))
         self._centroids: Optional[np.ndarray] = None
         self._bucket_ids: List[np.ndarray] = []
         self._bucket_mats: List[np.ndarray] = []
@@ -821,7 +649,7 @@ class VectorIndex(_Overlay):
     @property
     def nprobe(self) -> int:
         """The default probe width queries resolve without an override."""
-        return self.nprobe_opt if self.nprobe_opt is not None else self._nprobe_default
+        return self.nprobe_opt if self.nprobe_opt is not None else DEFAULT_NPROBE
 
     @property
     def options(self) -> Dict[str, Any]:
@@ -903,7 +731,7 @@ class VectorIndex(_Overlay):
 
     def _maybe_train(self) -> None:
         """The write-side training policy.  First training waits for
-        ``train_min`` rows; once trained, drift — the flat set doubling
+        :data:`DEFAULT_TRAIN_MIN` rows; once trained, drift — the flat set doubling
         since the last train, or one bucket outgrowing the mean by
         :data:`_IMBALANCE_FACTOR` — triggers an incremental re-cluster
         (the same cheap-counter pattern the statistics epoch uses to
@@ -912,14 +740,14 @@ class VectorIndex(_Overlay):
             return
         n = len(self.ids)
         if self._centroids is None:
-            if n >= self._train_min:
+            if n >= DEFAULT_TRAIN_MIN:
                 self._train()
             return
         if n >= 2 * max(1, self._trained_size):
             self._train(warm=True)
             return
         sizes = [len(b) for b in self._bucket_ids]
-        if sizes and n >= self._train_min:
+        if sizes and n >= DEFAULT_TRAIN_MIN:
             mean = max(1.0, n / len(sizes))
             if max(sizes) > _IMBALANCE_FACTOR * mean:
                 self._train(warm=True)

@@ -37,10 +37,10 @@ arrays.  Invariants:
   and load move whole arrays.
 * Edge records — parallel columns over live edge slots only:
   ``edge_slot`` (ascending), ``edge_src``, ``edge_dst``, ``edge_rel``.
-  The multi-edge map and per-node incidence sets are *derived* state and
-  rebuild from these columns by vectorized grouping.  Every relation
-  matrix entry owns at least one record; a file whose entries outnumber
-  its distinct record keys gets one new record per uncovered entry.
+  The per-type edge-id stores are *derived* state: loading folds each
+  type's columns into them in one sort.  Every relation matrix entry
+  owns at least one record; a matrix entry whose key no record of its
+  type carries (one ``np.isin`` per type) gets a new record.
 * Matrices — the merged CSR of every delta overlay, straight from the
   snapshot view: ``adj_indptr``/``adj_indices``, one
   ``rel{rid}_indptr``/``rel{rid}_indices`` pair per relationship type
@@ -69,7 +69,7 @@ import gc
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from repro.graph.config import GraphConfig
 from repro.graph.datablock import DataBlock
 from repro.graph.delta_matrix import DeltaMatrix
 from repro.graph import properties as P
-from repro.graph.graph import Graph, _EdgeRecord, _NodeRecord
+from repro.graph.graph import Graph, _EdgeRecord, _NodeRecord, pair_keys
 from repro.grblas import Matrix
 from repro.grblas.types import BOOL
 
@@ -315,36 +315,31 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
     graph._nodes = DataBlock.restore(node_records, node_free)
     _install_props(graph._nodes, data, "nprop")
 
-    # edge records; the multi-edge map is derived state, rebuilt by
-    # vectorized grouping instead of a dict op per edge
+    # edge records; the edge-id stores are derived state, one bulk fold
+    # per type from the record columns
     edge_slots = int(meta["edge_slots"])
     edge_free = data["edge_free"].tolist()
     e_slot = data["edge_slot"]
     e_src = data["edge_src"]
     e_dst = data["edge_dst"]
     e_rel = data["edge_rel"]
-    edge_map = _group_edge_map(e_src, e_dst, e_rel, e_slot)
-    if len(edge_map) < sum(m.nvals() for m in graph._rel_matrices):
-        # some matrix entry has no edge record: give each one a record
-        o_src, o_dst, o_rel = _orphan_entries(graph, edge_map)
+    # a matrix entry no edge record covers gets a record of its own
+    o_src, o_dst, o_rel = _orphan_entries(graph, e_src, e_dst, e_rel)
+    if len(o_src):
         o_slot = np.arange(edge_slots, edge_slots + len(o_src), dtype=_I64)
         edge_slots += len(o_src)
         e_slot, e_src, e_dst, e_rel = (
             np.concatenate(pair)
             for pair in ((e_slot, o_slot), (e_src, o_src), (e_dst, o_dst), (e_rel, o_rel))
         )
-        edge_map.update(
-            ((s, d, r), [e]) for s, d, r, e in zip(o_src.tolist(), o_dst.tolist(), o_rel.tolist(), o_slot.tolist())
-        )
     edge_records: List[Optional[_EdgeRecord]] = [None] * edge_slots
     for slot, src, dst, rid in zip(e_slot.tolist(), e_src.tolist(), e_dst.tolist(), e_rel.tolist()):
         edge_records[slot] = _EdgeRecord(src, dst, rid)
     graph._edges = DataBlock.restore(edge_records, edge_free)
     _install_props(graph._edges, data, "eprop")
-
-    graph._node_out = _group_sets(e_src, e_slot)
-    graph._node_in = _group_sets(e_dst, e_slot)
-    graph._edge_map = edge_map
+    for rid in range(graph.schema.reltype_count):
+        mine = e_rel == rid
+        graph.bulk_edge_ids(rid, e_slot[mine], e_src[mine], e_dst[mine])
 
     # indices: rebuilt through the normal create paths, whose bulk
     # backfill reads the just-restored records — one sort per index, and
@@ -402,68 +397,22 @@ def _put_csr(arrays: Dict[str, np.ndarray], prefix: str, view) -> None:
     arrays[f"{prefix}_indices"] = merged.indices
 
 
-def _group_sets(keys: np.ndarray, vals: np.ndarray) -> Dict[int, Set[int]]:
-    """{key: set(vals)} via one sort + boundary scan.  Group boundaries
-    come from numpy; the assembly loop slices plain lists (a numpy slice
-    per group costs ~10x a list slice at 100k singleton groups)."""
-    out: Dict[int, Set[int]] = {}
-    if not len(keys):
-        return out
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order].tolist()
-    sv = vals[order].tolist()
-    bounds = np.flatnonzero(np.concatenate(([True], np.diff(keys[order]) != 0))).tolist()
-    bounds.append(len(sk))
-    for i in range(len(bounds) - 1):
-        start, end = bounds[i], bounds[i + 1]
-        out[sk[start]] = set(sv[start:end])
-    return out
-
-
-def _group_edge_map(
-    src: np.ndarray, dst: np.ndarray, rel: np.ndarray, eids: np.ndarray
-) -> Dict[Tuple[int, int, int], List[int]]:
-    """Multi-edge map rebuilt by lexsorted grouping; sibling lists come
-    out in ascending edge-id order (stable sort over ascending slots)."""
-    out: Dict[Tuple[int, int, int], List[int]] = {}
-    if not len(src):
-        return out
-    order = np.lexsort((rel, dst, src))
-    ss, sd, sr = src[order], dst[order], rel[order]
-    changed = (ss[1:] != ss[:-1]) | (sd[1:] != sd[:-1]) | (sr[1:] != sr[:-1])
-    bounds = np.flatnonzero(np.concatenate(([True], changed))).tolist()
-    bounds.append(len(ss))
-    ss_l, sd_l, sr_l, se_l = ss.tolist(), sd.tolist(), sr.tolist(), eids[order].tolist()
-    for i in range(len(bounds) - 1):
-        start, end = bounds[i], bounds[i + 1]
-        out[(ss_l[start], sd_l[start], sr_l[start])] = se_l[start:end]
-    return out
-
-
 def _orphan_entries(
-    graph: Graph, edge_map: Dict[Tuple[int, int, int], List[int]]
+    graph: Graph, e_src: np.ndarray, e_dst: np.ndarray, e_rel: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, dst, rel) of every relation-matrix entry no edge record
     covers.  Older builds could bulk-load such entries without records.
     An entry touching a deleted node is that node's leftover: it leaves
     the matrices instead of being returned."""
-    per_rel = np.bincount(
-        np.fromiter((rid for _, _, rid in edge_map), dtype=_I64, count=len(edge_map)),
-        minlength=len(graph._rel_matrices),
-    )
     alive = graph._nodes.alive_mask()
-    src: List[np.ndarray] = []
-    dst: List[np.ndarray] = []
-    rel: List[np.ndarray] = []
+    empty = np.empty(0, dtype=_I64)
+    src, dst, rel = [empty], [empty], [empty]
     for rid, dm in enumerate(graph._rel_matrices):
-        if dm.nvals() == per_rel[rid]:
-            continue
         rows, cols, _ = dm.synced().to_coo()
-        orphan = np.fromiter(
-            ((s, d, rid) not in edge_map for s, d in zip(rows.tolist(), cols.tolist())),
-            dtype=np.bool_,
-            count=len(rows),
-        )
+        mine = e_rel == rid
+        orphan = ~np.isin(pair_keys(rows, cols), pair_keys(e_src[mine], e_dst[mine]))
+        if not orphan.any():
+            continue
         rows, cols = rows[orphan], cols[orphan]
         live = alive[rows] & alive[cols]
         for s, d in zip(rows[~live].tolist(), cols[~live].tolist()):

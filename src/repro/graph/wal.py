@@ -210,11 +210,6 @@ class WriteAheadLog:
         self._segment_starts.append(self._active_start)
         self._file = open(self.dir / _segment_name(self._active_start), "ab")
 
-    def rotate(self) -> None:
-        """Start a fresh segment (normally automatic via ``rotate_bytes``)."""
-        with self._lock:
-            self._rotate_locked()
-
     # ------------------------------------------------------------------
     def replay(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Yield ``(seq, record)`` for every whole record, oldest first.

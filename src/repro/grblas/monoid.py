@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import DomainMismatch
 from repro.grblas.ops import BinaryOp, _Namespace, binary
 from repro.grblas.types import GrBType
 
@@ -136,12 +135,3 @@ for _m in [
     Monoid("second", binary.second, identity=0),
 ]:
     monoid._register(_m)
-
-
-def monoid_from_op(op: BinaryOp) -> Monoid:
-    """Find the registered monoid built on ``op`` (for accumulators)."""
-    for name in monoid.names():
-        m = monoid[name]
-        if m.op is op:
-            return m
-    raise DomainMismatch(f"no monoid registered for operator {op.name!r}")

@@ -14,7 +14,6 @@ import pytest
 
 from repro import GraphDB
 from repro.errors import CypherTypeError
-from repro.graph.config import GraphConfig
 from repro.graph.index import VectorIndex
 
 
@@ -47,8 +46,12 @@ def clustered_rows(rng, n, dim, n_clusters=8, spread=0.15):
     return rows, centers
 
 
+@pytest.fixture(autouse=True)
+def _train_at_64(vector_defaults):
+    vector_defaults(train_min=64)
+
+
 def build(rows, dim, **kw):
-    kw.setdefault("train_min", 64)
     idx = VectorIndex(0, 10, dim=dim, **kw)
     idx.bulk_insert([vec for _, vec in rows], [nid for nid, _ in rows])
     return idx
@@ -68,11 +71,12 @@ class TestExactEquivalence:
             assert [int(i) for i in got_ids] == want_ids
             assert np.array_equal(np.asarray(got_scores), want_scores)
 
-    def test_untrained_is_brute_force(self):
+    def test_untrained_is_brute_force(self, vector_defaults):
+        vector_defaults(train_min=1024)
         rng = np.random.default_rng(12)
         dim = 8
         rows = [(nid, rng.normal(size=dim).tolist()) for nid in range(50)]
-        idx = build(rows, dim, train_min=1024)  # far below the floor
+        idx = build(rows, dim)  # far below the floor
         assert not idx.trained
         q = rng.normal(size=dim).tolist()
         got_ids, got_scores = idx.query(q, 10)
@@ -184,11 +188,12 @@ class TestChurn:
 
 class TestProcedureSurface:
     @pytest.fixture()
-    def db(self, fold_at):
+    def db(self, fold_at, vector_defaults):
         # small fold threshold so the pending tail folds (training runs
         # at fold time) within a 64-row fixture
         fold_at(8)
-        d = GraphDB("vec", GraphConfig(vector_train_min=32))
+        vector_defaults(train_min=32)
+        d = GraphDB("vec")
         d.query("CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {dimension: 4, nlist: 4}")
         rng = np.random.default_rng(17)
         for _ in range(64):
@@ -242,21 +247,24 @@ class TestProcedureSurface:
             db.query("CREATE VECTOR INDEX ON :Other(e) OPTIONS {dimension: 2, exact: 1}")
 
 
-class TestConfigKnobs:
-    def test_nprobe_default_flows_from_config(self):
-        d = GraphDB("k", GraphConfig(vector_train_min=32, vector_nprobe_default=3))
+class TestDefaults:
+    def test_nprobe_default_applies(self, vector_defaults):
+        vector_defaults(nprobe=3, train_min=32)
+        d = GraphDB("k")
         d.query("CREATE VECTOR INDEX ON :D(e) OPTIONS {dimension: 2, nlist: 8}")
         idx = d.graph.get_vector_index("D", "e")
         assert idx.nprobe == 3
 
-    def test_per_index_nprobe_beats_config(self):
-        d = GraphDB("k", GraphConfig(vector_nprobe_default=3))
+    def test_per_index_nprobe_beats_default(self, vector_defaults):
+        vector_defaults(nprobe=3)
+        d = GraphDB("k")
         d.query("CREATE VECTOR INDEX ON :D(e) OPTIONS {dimension: 2, nprobe: 7}")
         assert d.graph.get_vector_index("D", "e").nprobe == 7
 
-    def test_train_min_gates_training(self, fold_at):
+    def test_train_min_gates_training(self, fold_at, vector_defaults):
         fold_at(1)
-        d = GraphDB("k", GraphConfig(vector_train_min=16))
+        vector_defaults(train_min=16)
+        d = GraphDB("k")
         d.query("CREATE VECTOR INDEX ON :D(e) OPTIONS {dimension: 2}")
         rng = np.random.default_rng(18)
         for _ in range(15):
@@ -268,13 +276,14 @@ class TestConfigKnobs:
 
 
 class TestPersistence:
-    def test_snapshot_round_trip_preserves_layout(self, tmp_path, fold_at):
+    def test_snapshot_round_trip_preserves_layout(self, tmp_path, fold_at, vector_defaults):
         import io
 
         from repro.graph.persist import load_graph, save_graph
 
         fold_at(8)
-        d = GraphDB("p", GraphConfig(vector_train_min=32))
+        vector_defaults(train_min=32)
+        d = GraphDB("p")
         d.query("CREATE VECTOR INDEX ON :Doc(emb) OPTIONS {dimension: 6, nlist: 5}")
         rng = np.random.default_rng(19)
         for _ in range(80):

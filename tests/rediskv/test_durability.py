@@ -157,12 +157,19 @@ class TestKillAndRestart:
 
 
 class TestRetiredKnobs:
-    """A data dir written while ``PARALLEL_WORKERS``, ``MORSEL_SIZE`` and
-    ``INDEX_MERGE_THRESHOLD`` were settable knobs: each sits in the
-    manifest's config and in WAL ``config`` records.  Recovery skips them
-    and restores every graph."""
+    """A data dir written while ``PARALLEL_WORKERS``, ``MORSEL_SIZE``,
+    ``INDEX_MERGE_THRESHOLD``, ``VECTOR_NPROBE_DEFAULT`` and
+    ``VECTOR_TRAIN_MIN`` were settable knobs: each sits in the manifest's
+    config and in WAL ``config`` records.  Recovery skips them and
+    restores every graph."""
 
-    RETIRED = {"PARALLEL_WORKERS": 4, "MORSEL_SIZE": 64, "INDEX_MERGE_THRESHOLD": 8}
+    RETIRED = {
+        "PARALLEL_WORKERS": 4,
+        "MORSEL_SIZE": 64,
+        "INDEX_MERGE_THRESHOLD": 8,
+        "VECTOR_NPROBE_DEFAULT": 3,
+        "VECTOR_TRAIN_MIN": 32,
+    }
 
     def test_stale_config_records_recover(self, tmp_path):
         srv = start_server(tmp_path)
@@ -508,12 +515,11 @@ class TestIVFReplay:
     centroids without retraining, and pre-IVF log records (no "exact"
     marker in options) replay as brute-force indexes."""
 
-    IVF_KW = dict(vector_train_min=32)
-
     @pytest.fixture(autouse=True)
-    def _fold_small(self, fold_at):
+    def _fold_small(self, fold_at, vector_defaults):
         # the pending tail folds (training runs at fold time) within 80 rows
         fold_at(8)
+        vector_defaults(train_min=32)
     DDL = "CREATE VECTOR INDEX ON :P(emb) OPTIONS {dimension: 4, nlist: 4}"
     VQ = (
         "CALL db.idx.vector.query('P', 'emb', $q, 10) "
@@ -544,7 +550,7 @@ class TestIVFReplay:
 
     @pytest.mark.parametrize("save_midway", [False, True], ids=["log-only", "snapshot+tail"])
     def test_trained_index_survives_crash(self, tmp_path, save_midway):
-        srv = start_server(tmp_path, **self.IVF_KW)
+        srv = start_server(tmp_path)
         with RedisClient(port=srv.port) as c:
             self.seed(c)
             if save_midway:
@@ -555,7 +561,7 @@ class TestIVFReplay:
             expected = self.queries(c)
         srv.stop()  # crash: tail (or everything) lives only in the log
 
-        srv2 = start_server(tmp_path, **self.IVF_KW)
+        srv2 = start_server(tmp_path)
         with RedisClient(port=srv2.port) as c2:
             options = self.options(c2)
             assert options["trained"] == 1 and options["nlist"] == 4
@@ -569,7 +575,7 @@ class TestIVFReplay:
         srv2.stop()
 
     def test_pre_ivf_log_record_replays_as_exact(self, tmp_path):
-        srv = start_server(tmp_path, **self.IVF_KW)
+        srv = start_server(tmp_path)
         with RedisClient(port=srv.port) as c:
             c.graph_query("g", "CREATE (:P {emb: [1.0, 0.0]})")
         # a record written by the pre-IVF build: options carry no "exact"
@@ -578,7 +584,7 @@ class TestIVFReplay:
             itype="vector", attributes=["emb"], options={"dimension": 2},
         )
         srv.stop()
-        srv2 = start_server(tmp_path, **self.IVF_KW)
+        srv2 = start_server(tmp_path)
         with RedisClient(port=srv2.port) as c2:
             assert self.options(c2)["exact"] == 1  # brute-force semantics kept
         srv2.stop()
