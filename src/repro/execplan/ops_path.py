@@ -50,13 +50,6 @@ class PathSegment:
         self.variable_length = variable_length
 
 
-def _pick_edge(graph, src: int, dst: int, types: Tuple[str, ...], direction: str) -> Edge:
-    _, eids = graph.hop_edges([src], [dst], types, direction)
-    if not len(eids):  # pragma: no cover - the traversal proved the hop exists
-        raise GraphError(f"no edge realizes path hop {src}->{dst}")
-    return Edge(graph, int(eids.min()))
-
-
 class ProjectPath(PlanOp):
     """Extend each record with the assembled path value."""
 
@@ -104,14 +97,15 @@ class ProjectPath(PlanOp):
                 # zero-hop realization of a *0..n segment
                 nodes[-1] = dst
                 continue
-            for u, v in self._chain(ctx, seg, src.id, dst.id):
-                edges.append(_pick_edge(graph, u, v, seg.types, seg.direction))
-                nodes.append(Node(graph, v))
+            chain = self._chain(ctx, seg, src.id, dst.id)
+            eids = graph.lowest_hop_edges(chain[:-1], chain[1:], seg.types, seg.direction)
+            edges.extend(Edge(graph, e) for e in eids.tolist())
+            nodes.extend(Node(graph, v) for v in chain[1:])
         return PathValue(nodes, edges)
 
-    def _chain(self, ctx: ExecContext, seg: PathSegment, src: int, dst: int) -> List[Tuple[int, int]]:
-        """(u, v) hops of one shortest src→dst walk over the segment's
-        collapsed expression matrix."""
+    def _chain(self, ctx: ExecContext, seg: PathSegment, src: int, dst: int) -> List[int]:
+        """The nodes of one shortest src→dst walk over the segment's
+        collapsed expression matrix, src first."""
         A = seg.expression.single_matrix(ctx)
         parents = bfs_parents(A, src)
         idx, vals = parents.to_coo()
@@ -122,4 +116,4 @@ class ProjectPath(PlanOp):
         while chain[-1] != src:
             chain.append(parent[int(chain[-1])])
         chain.reverse()
-        return list(zip(chain, chain[1:]))
+        return chain

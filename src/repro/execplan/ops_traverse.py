@@ -126,8 +126,6 @@ class ConditionalTraverse(PlanOp):
         # edge variable: fan each (src, dst) hop out into its edge records
         # with one batched edge-id seek, keeping the (record, dst) order
         hop, eids = graph.hop_edges(src_ids[rec_idx], dst_ids, self._types, self._direction)
-        if not len(hop):
-            return None
         return batch.take(rec_idx[hop]).extend(
             self.out_layout,
             [EntityColumn("node", dst_ids[hop], graph), EntityColumn("edge", eids, graph)],
@@ -192,8 +190,6 @@ class ExpandInto(PlanOp):
             return batch.compress(hit)
         rows = np.flatnonzero(hit)
         hop, eids = graph.hop_edges(src_ids[rows], dst_ids[rows], self._types, self._direction)
-        if not len(hop):
-            return None
         return batch.take(rows[hop]).extend(self.out_layout, [EntityColumn("edge", eids, graph)])
 
 

@@ -16,8 +16,8 @@ Storage layout (paper §II):
 
 Multi-edges: several edges of one type may connect the same (src, dst)
 pair; the matrix entry is shared.  Each type keeps its edge ids in two
-:class:`~repro.graph.overlay.Overlay` stores — the secondary indexes'
-write discipline — keyed ``src << 32 | dst`` and ``dst << 32 | src``:
+:class:`~repro.graph.overlay.EdgeIdStore` overlays — the secondary
+indexes' write discipline — keyed ``src << 32 | dst`` and ``dst << 32 | src``:
 an equality seek finds the edges of a pair, a key-range seek a node's
 out- or in-edges.  The keys do not depend on the matrix capacity.
 """
@@ -35,7 +35,7 @@ from repro.graph.datablock import DataBlock
 from repro.graph.delta_matrix import DeltaMatrix
 from repro.graph.entities import Edge, Node
 from repro.graph.index import CompositeIndex, RangeIndex, VectorIndex
-from repro.graph.overlay import Overlay
+from repro.graph.overlay import EdgeIdStore
 from repro.graph.rwlock import RWLock
 from repro.graph.schema import Schema
 from repro.graph.statistics import StatisticsStore
@@ -99,7 +99,7 @@ class Graph:
         self._adj = self._new_matrix()
         self._rel_matrices: List[DeltaMatrix] = []
         self._label_matrices: List[DeltaMatrix] = []
-        self._edge_ids: List[Tuple[Overlay, Overlay]] = []  # per type: by src, by dst
+        self._edge_ids: List[Tuple[EdgeIdStore, EdgeIdStore]] = []  # per type: by src, by dst
         self._indices: Dict[Tuple[int, int], RangeIndex] = {}
         self._composite_indices: Dict[Tuple[int, Tuple[int, ...]], CompositeIndex] = {}
         self._vector_indices: Dict[Tuple[int, int], VectorIndex] = {}
@@ -194,8 +194,6 @@ class Graph:
         # relation-matrix and ADJ entries go without a sibling check
         adj_pairs = set()
         for rid, ((out_keys, out_ids), (in_keys, in_ids)) in enumerate(zip(outs, ins)):
-            if not len(out_ids) and not len(in_ids):
-                continue
             self._drop_edges(rid, out_ids.tolist() + in_ids.tolist())
             pairs = [(node_id, dst) for dst in (out_keys & _LOW).tolist()]
             pairs += [(src, node_id) for src in (in_keys & _LOW).tolist()]
@@ -414,8 +412,8 @@ class Graph:
         for eid in eids:
             self._edges.free(eid)
         by_src, by_dst = self._edge_ids[rid]
-        by_src.drop_held(eids)
-        by_dst.drop_held(eids)
+        by_src.drop_many(eids)
+        by_dst.drop_many(eids)
 
     def has_edge(self, edge_id: int) -> bool:
         return self._edges.exists(edge_id)
@@ -451,13 +449,13 @@ class Graph:
         then ``types`` order, then out before in, then ascending id."""
         src, dst = np.asarray(src, dtype=_I64), np.asarray(dst, dtype=_I64)
         rids = [self.schema.reltype_id(t) for t in types] if types else range(self.schema.reltype_count)
-        probes = []  # (keys, the hops they probe; None = all)
+        every = np.arange(len(src))
+        probes = []  # (keys, the hops they probe)
         if direction != "in":
-            probes.append((pair_keys(src, dst), None))
+            probes.append((pair_keys(src, dst), every))
         if direction != "out":
-            hops = np.flatnonzero(src != dst) if direction == "any" else None
-            rev = pair_keys(dst, src)
-            probes.append((rev if hops is None else rev[hops], hops))
+            hops = every[src != dst] if direction == "any" else every
+            probes.append((pair_keys(dst[hops], src[hops]), hops))
         parts = []
         for pos, rid in enumerate(rids):
             if rid is None or rid >= len(self._edge_ids):
@@ -465,12 +463,22 @@ class Graph:
             by_src = self._edge_ids[rid][0]
             for way, (keys, hops) in enumerate(probes):
                 q, eids = by_src.seek_keys(keys)
-                parts.append((q if hops is None else hops[q], eids, np.full(len(q), 2 * pos + way)))
+                parts.append((hops[q], eids, np.full(len(q), 2 * pos + way)))
         if not parts:
             return _EMPTY, _EMPTY
         hop, eids, rank = (np.concatenate(p) for p in zip(*parts))
         order = np.lexsort((eids, rank, hop))
         return hop[order], eids[order]
+
+    def lowest_hop_edges(
+        self, src: Sequence[int], dst: Sequence[int], types: Sequence[str] = (), direction: str = "out"
+    ) -> np.ndarray:
+        """The lowest edge id realizing each hop ``src[i] → dst[i]`` (see
+        :meth:`hop_edges`) — the edge a reconstructed path reports.  Every
+        hop must have one, as a path found over the matrices guarantees."""
+        hops, eids = self.hop_edges(src, dst, types, direction)
+        # the rows of one hop are adjacent
+        return np.minimum.reduceat(eids, np.flatnonzero(np.diff(hops, prepend=-1)))
 
     def edges_between(self, src: int, dst: int, reltype: Optional[str] = None) -> List[int]:
         """Edge ids connecting src → dst (optionally restricted by type)."""
@@ -481,7 +489,7 @@ class Graph:
         """Per type, ``(key, edge id)`` of the node's out- (side 0) or
         in-edges (side 1); a key's low half is the other endpoint."""
         lo = pair_keys(node_id, 0)
-        return [store[side].seek_range(lo, lo + _LOW + 1) for store in self._edge_ids]
+        return [store[side].seek_span(lo, lo + _LOW + 1) for store in self._edge_ids]
 
     def out_edges(self, node_id: int) -> List[int]:
         return sorted(e for _, ids in self._incident(node_id, 0) for e in ids.tolist())
@@ -489,9 +497,9 @@ class Graph:
     def in_edges(self, node_id: int) -> List[int]:
         return sorted(e for _, ids in self._incident(node_id, 1) for e in ids.tolist())
 
-    def _edge_ids_for(self, rid: int) -> Tuple[Overlay, Overlay]:
+    def _edge_ids_for(self, rid: int) -> Tuple[EdgeIdStore, EdgeIdStore]:
         while rid >= len(self._edge_ids):
-            self._edge_ids.append((Overlay(_EMPTY), Overlay(_EMPTY)))
+            self._edge_ids.append((EdgeIdStore(_EMPTY), EdgeIdStore(_EMPTY)))
         return self._edge_ids[rid]
 
     def bulk_edge_ids(self, rid: int, eids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:

@@ -2,8 +2,8 @@
 the secondary indexes (:mod:`repro.graph.index`) and the per-type edge
 ids of :class:`~repro.graph.graph.Graph`.
 
-Every write lands in a small pending overlay (adds keyed by id, a set of
-ids deleted from the base); once :data:`FOLD_THRESHOLD` entries are
+Every write lands in a small pending overlay (adds keyed by id, a table
+of ids deleted from the base); once :data:`FOLD_THRESHOLD` entries are
 pending the overlay folds into the base in one sort — the paper's
 ``DeltaMatrix`` discipline, so reads never rebuild anything and are safe
 under the query read lock.
@@ -11,16 +11,17 @@ under the query read lock.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grblas import _kernels as K
 
-__all__ = ["Overlay", "FOLD_THRESHOLD"]
+__all__ = ["Overlay", "EdgeIdStore", "FOLD_THRESHOLD"]
 
 _I64 = np.int64
 _EMPTY_IDS = np.empty(0, dtype=_I64)
+_NO_DEAD = np.zeros(0, dtype=np.bool_)
 _MISSING = object()
 
 #: pending overlay entries (adds + deletes) at which an overlay folds into
@@ -46,16 +47,17 @@ def _append(ids: np.ndarray, cols: Tuple[np.ndarray, ...], more_ids: np.ndarray,
 class Overlay:
     """Ids with parallel columns in a base, plus the pending overlay every
     write lands in: the adds (id → stored value, in write order) and the
-    set of ids deleted from the base.  Once :data:`FOLD_THRESHOLD` entries
-    are pending the overlay folds into the base.  Reads see the base
-    minus the deletes plus the adds and never fold, so they are safe
-    under the query read lock.
+    ids deleted from the base, marked in ``dead``, a boolean table indexed
+    by base id.  Once :data:`FOLD_THRESHOLD` entries are pending the
+    overlay folds into the base.  Reads see the base minus the deletes
+    plus the adds and never fold, so they are safe under the query read
+    lock.
 
     :meth:`_columns` turns stored values into base columns.  A ``sorted``
     base is kept in stable order of its first column (the sort key); an
     unsorted one (the vector index) appends instead."""
 
-    __slots__ = ("ids", "cols", "adds", "dels", "live")
+    __slots__ = ("ids", "cols", "adds", "dead", "dels", "live")
 
     sorted = True
 
@@ -63,7 +65,8 @@ class Overlay:
         self.ids = _EMPTY_IDS
         self.cols: Tuple[np.ndarray, ...] = cols
         self.adds: Dict[int, Any] = {}
-        self.dels: Set[int] = set()
+        self.dead = _NO_DEAD
+        self.dels = 0  # ids marked in ``dead``
         self.live = 0
 
     def _columns(self, values: List[Any]) -> Tuple[np.ndarray, ...]:
@@ -84,28 +87,28 @@ class Overlay:
     def drop(self, nid: int, key: Any = None) -> None:
         """Remove ``nid``'s entry; ``key`` (its sort key) locates it in a
         sorted base.  A no-op for an id the overlay does not hold."""
-        if self.adds.pop(nid, _MISSING) is not _MISSING:
-            self.live -= 1
-            return
-        if nid in self.dels:
-            return
-        ids = self.ids
-        if self.sorted:
-            keys = self.cols[0]
-            ids = ids[_search(keys, key, "left") : _search(keys, key, "right")]
-        if (ids == nid).any():
-            self.dels.add(nid)
-            self.live -= 1
-            self._maybe_fold()
+        if nid not in self.adds:
+            if nid < len(self.dead) and self.dead[nid]:
+                return
+            ids = self.ids
+            if self.sorted:
+                keys = self.cols[0]
+                ids = ids[_search(keys, key, "left") : _search(keys, key, "right")]
+            if not (ids == nid).any():
+                return
+        self.drop_many([nid])
 
-    def drop_held(self, ids: List[int]) -> None:
-        """Remove entries the caller knows are held, without the base
-        search :meth:`drop` makes: a pending add leaves the overlay, any
-        other id joins the deleted set."""
+    def drop_many(self, ids: List[int]) -> None:
+        """Remove entries the overlay holds: a pending add leaves the
+        overlay, any other id is marked in ``dead``."""
         self.live -= len(ids)
         if self.adds:
             ids = [nid for nid in ids if self.adds.pop(nid, _MISSING) is _MISSING]
-        self.dels.update(ids)
+        if ids:
+            if not self.dels:  # first delete since the fold: cover every base id
+                self.dead = np.zeros(int(self.ids.max()) + 1, dtype=np.bool_)
+            self.dead[ids] = True
+            self.dels += len(ids)
         self._maybe_fold()
 
     def bulk(self, ids: Sequence[int], values: List[Any]) -> None:
@@ -117,7 +120,7 @@ class Overlay:
         self.fold(np.asarray(ids, dtype=_I64), self._columns(values))
 
     def _maybe_fold(self) -> None:
-        if len(self.adds) + len(self.dels) >= FOLD_THRESHOLD:
+        if len(self.adds) + self.dels >= FOLD_THRESHOLD:
             self.fold()
 
     def fold(self, ids: Optional[np.ndarray] = None, cols: Sequence[np.ndarray] = ()) -> None:
@@ -125,7 +128,7 @@ class Overlay:
         ``cols`` are appended after the pending adds."""
         if ids is None and not self.adds and not self.dels:
             return
-        dead = np.fromiter(self.dels, dtype=_I64, count=len(self.dels))
+        dead = np.flatnonzero(self.dead)
         new_ids, new_cols = self.pending()
         if ids is not None:
             new_ids, new_cols = _append(new_ids, new_cols, ids, cols)
@@ -137,7 +140,7 @@ class Overlay:
                 order = np.argsort(all_cols[0], kind="stable")
                 all_ids, all_cols = all_ids[order], tuple(c[order] for c in all_cols)
         self.ids, self.cols = all_ids, all_cols
-        self.adds, self.dels = {}, set()
+        self.adds, self.dead, self.dels = {}, _NO_DEAD, 0
         self._folded(dead, new_ids, new_cols)
 
     def _folded(self, dead: np.ndarray, ids: np.ndarray, cols: Tuple[np.ndarray, ...]) -> None:
@@ -147,16 +150,10 @@ class Overlay:
     # -- read side ---------------------------------------------------
 
     def _live_mask(self, ids: np.ndarray) -> Optional[np.ndarray]:
-        """Which of ``ids`` are not deleted; None when none can be."""
-        dels = self.dels
-        if not dels or not len(ids):
+        """Which of ``ids`` (base ids) are not deleted; None when none can be."""
+        if not self.dels or not len(ids):
             return None
-        if len(ids) < len(dels):  # a few set probes beat building the table
-            return np.array([i not in dels for i in ids.tolist()], dtype=np.bool_)
-        dead = np.fromiter(dels, dtype=_I64, count=len(dels))
-        table = np.zeros(int(dead.max()) + 2, dtype=np.bool_)  # ids are >= 0
-        table[dead] = True
-        return ~table.take(ids, mode="clip")  # past the last dead id: live
+        return ~self.dead[ids]
 
     def _base_live(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
         keep = self._live_mask(self.ids)
@@ -191,10 +188,26 @@ class Overlay:
             base_ids = np.concatenate([base_ids, np.asarray(extra, dtype=_I64)])
         return np.unique(base_ids)
 
+    def distinct_keys(self) -> int:
+        """Distinct base keys, counting every pending add as new."""
+        keys = self.cols[0]
+        return (len(np.unique(keys)) if len(keys) else 0) + len(self.adds)
+
+    def __len__(self) -> int:
+        return self.live
+
+
+class EdgeIdStore(Overlay):
+    """One relationship type's edge ids keyed by an int64 node-pair key
+    (:func:`repro.graph.graph.pair_keys`), with the batched reads the edge
+    path needs on top of the overlay core."""
+
+    __slots__ = ()
+
     def seek_keys(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched equality seek on a sorted numeric base: ``(query
-        index, id)`` of every live entry whose key equals ``keys[q]`` —
-        the base's hits in key order, then the pending adds."""
+        """Batched equality seek: ``(query index, edge id)`` of every live
+        entry whose key equals ``keys[q]`` — the base's hits in key order,
+        then the pending adds."""
         base = self.cols[0]
         lo = base.searchsorted(keys, "left")
         lens = base.searchsorted(keys, "right") - lo
@@ -213,10 +226,9 @@ class Overlay:
             ids = np.concatenate([ids, np.repeat(add_ids, runs)])
         return q, ids
 
-    def seek_range(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(key, id)`` of every live entry with ``lo <= key < hi`` on a
-        sorted numeric base: the base's hits in key order, then the
-        pending adds."""
+    def seek_span(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(key, edge id)`` of every live entry with ``lo <= key < hi``:
+        the base's hits in key order, then the pending adds."""
         base = self.cols[0]
         start, stop = base.searchsorted([lo, hi]).tolist()
         keys, ids = base[start:stop], self.ids[start:stop]
@@ -229,11 +241,3 @@ class Overlay:
             keys = np.concatenate([keys, add_keys[hit]])
             ids = np.concatenate([ids, add_ids[hit]])
         return keys, ids
-
-    def distinct_keys(self) -> int:
-        """Distinct base keys, counting every pending add as new."""
-        keys = self.cols[0]
-        return (len(np.unique(keys)) if len(keys) else 0) + len(self.adds)
-
-    def __len__(self) -> int:
-        return self.live

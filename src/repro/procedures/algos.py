@@ -153,10 +153,8 @@ def _shortest_path(graph, source, target, reltype) -> Sequence[Sequence[Any]]:
         chain.append(parent[int(chain[-1])])
     chain.reverse()
     nodes = [graph.get_node(int(v)) for v in chain]
-    # each hop's lowest edge id; the rows of one hop are adjacent
-    hops, eids = graph.hop_edges(chain[:-1], chain[1:], () if reltype is None else (reltype,))
-    lowest = np.minimum.reduceat(eids, np.flatnonzero(np.diff(hops, prepend=-1)))
-    edges = [graph.get_edge(int(e)) for e in lowest.tolist()]
+    lowest = graph.lowest_hop_edges(chain[:-1], chain[1:], () if reltype is None else (reltype,))
+    edges = [graph.get_edge(e) for e in lowest.tolist()]
     path = PathValue(nodes, edges)
     return [[path], [len(edges)]]
 
