@@ -128,13 +128,15 @@ class QueryEngine:
         cached: bool = False,
         profile_run: Optional[ProfileRun] = None,
         on_commit: Optional[Callable[[], None]] = None,
+        on_result: Optional[Callable[[ResultSet], None]] = None,
     ) -> ResultSet:
         """Bind a compiled artifact to the live graph and run it once.
 
         ``on_commit`` (write queries only) runs after a successful
         execution while the write lock is still held — the durability
         layer's hook: appending to the write log inside the lock keeps
-        log order identical to the order writers actually committed in."""
+        log order identical to the order writers actually committed in.
+        ``on_result`` (the server's reply encoder) then runs, still locked."""
         stats = QueryStatistics(cached_execution=cached)
         ctx = ExecContext(
             self.graph,
@@ -152,7 +154,9 @@ class QueryEngine:
             result = self._run(compiled, ctx, stats)
             if on_commit is not None and compiled.writes:
                 on_commit()
-        stats.execution_time_ms = (time.perf_counter() - started) * 1e3
+            stats.execution_time_ms = (time.perf_counter() - started) * 1e3
+            if on_result is not None:
+                on_result(result)
         return result
 
     def query(

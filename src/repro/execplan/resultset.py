@@ -81,11 +81,6 @@ class ResultSet:
                 self._rows = []
         return self._rows
 
-    @rows.setter
-    def rows(self, value: List[Tuple[Any, ...]]) -> None:
-        self._rows = value
-        self._column_data = None
-
     def __len__(self) -> int:
         if self._rows is None and self._column_data is not None:
             return len(self._column_data[0]) if self._column_data else 0

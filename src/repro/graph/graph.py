@@ -281,6 +281,13 @@ class Graph:
         block.check_live(ids)  # only a null can hide a dead id
         return values, nulls, codes
 
+    def entity_columns(self, ids: np.ndarray, *, edges: bool = False):
+        """The records at node (or edge) ``ids`` and, sorted by name, each
+        property they hold as ``(name, values, nulls, codes)``.  Dead ids raise."""
+        block = self._edges if edges else self._nodes
+        columns = [(self.attrs.name_of(aid), *block.store.gather(ids, aid)) for aid in range(len(self.attrs))]
+        return block.gather(ids.tolist()), sorted((c for c in columns if not c[2].all()), key=lambda c: c[0])
+
     def nodes_have_labels(self, ids, labels: Sequence[str]) -> np.ndarray:
         """Boolean column: which of ``ids`` carry *all* of ``labels``
         (null/-1 ids are False) — the batched form of :meth:`has_label`."""

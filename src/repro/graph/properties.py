@@ -12,8 +12,8 @@ cells hold a blank (0, False, code -1, None); the last cell of every
 buffer is never a slot, so an id of -1 (an OPTIONAL MATCH hole) reads as
 null.
 
-Replies encode entity properties after the query's lock is released, so
-a one-cell read may race a write.  A write stores the value before it
+Replies encode under the query's lock, but an embedded API handle read
+outside any query may race a write.  A write stores the value before it
 clears the null bit, a clear sets the bit before it blanks the value, a
 read checks the bit before and after it takes the value, and a promotion
 or pool rebuild swaps in a new column object instead of editing the old

@@ -18,7 +18,8 @@ Queries may carry parameters with the RedisGraph convention of a
 
 Value encoding in replies: scalars map to RESP directly; nodes encode as
 ``["node", id, [labels...], [[k, v]...]]`` and relationships as
-``["relationship", id, type, src, dst, [[k, v]...]]``.
+``["relationship", id, type, src, dst, [[k, v]...]]``, in RESP bytes
+written from the property store under the query's lock.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import json
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.api import GraphDB
 from repro.errors import ReproError, ResponseError
@@ -40,6 +43,7 @@ from repro.graph.entities import Edge, Node
 from repro.graph.path import PathValue
 from repro.rediskv.durability import DurabilityManager
 from repro.rediskv.keyspace import Keyspace
+from repro.rediskv.resp import Encoded, encode
 
 __all__ = ["GraphModule", "parse_cypher_params", "encode_value"]
 
@@ -158,34 +162,67 @@ def _parse_param_container(text: str, pos: int) -> Tuple[Any, int]:
 
 
 def encode_value(value: Any) -> Any:
-    """Runtime value → RESP-encodable structure."""
-    if isinstance(value, Node):
-        return [
-            "node",
-            value.id,
-            list(value.labels),
-            [[k, encode_value(v)] for k, v in sorted(value.properties.items())],
-        ]
-    if isinstance(value, Edge):
-        return [
-            "relationship",
-            value.id,
-            value.type,
-            value.src,
-            value.dst,
-            [[k, encode_value(v)] for k, v in sorted(value.properties.items())],
-        ]
-    if isinstance(value, PathValue):
-        return [
-            "path",
-            [encode_value(n) for n in value.nodes],
-            [encode_value(e) for e in value.edges],
-        ]
+    """Runtime value → RESP-encodable structure (entities as :class:`Encoded`)."""
     if isinstance(value, list):
-        return [encode_value(v) for v in value]
+        kinds = set(map(type, value)) - {type(None)}
+        if kinds == {Node} or kinds == {Edge}:
+            return _encode_entities(value)
+        return value if kinds <= {bool, int, float, str} else [encode_value(v) for v in value]
+    if isinstance(value, (Node, Edge)):
+        return _encode_entities([value])[0]
+    if isinstance(value, PathValue):
+        return ["path", encode_value(value.nodes), encode_value(value.edges)]
     if isinstance(value, dict):
         return [[k, encode_value(v)] for k, v in sorted(value.items())]
     return value
+
+
+def _bulk(text: str, template: bool = False) -> bytes:
+    data = text.encode()
+    data = b"$%d\r\n%s\r\n" % (len(data), data)
+    return data.replace(b"%", b"%%") if template else data
+
+
+def _encode_entities(items: list) -> list:
+    """Nodes, or edges, to one :class:`Encoded` cell each (None stays None): a
+    gather per attribute, then one ``%``-template per label set (or type)
+    holding every key formats an entity's ids, count and values at once."""
+    live = [e for e in items if e is not None]
+    graph, is_node = live[0]._graph, type(live[0]) is Node
+    ids = [e.id for e in live]
+    records, columns = graph.entity_columns(np.array(ids, dtype=np.int64), edges=not is_node)
+    body, cells, count = b"", [], np.zeros(len(ids), dtype=np.int64)
+    for name, values, nulls, codes in columns:
+        count, pooled = count + ~nulls, codes is not None
+        if nulls.any():  # a whole chunk per cell, b"" where absent
+            present, column = np.flatnonzero(~nulls), [b""] * len(ids)
+            for i, chunk in zip(present.tolist(), _chunks(b"*2\r\n" + _bulk(name), values[present], pooled)):
+                column[i] = chunk
+            body += b"%s"
+        elif values.dtype.kind == "i":
+            body, column = body + b"*2\r\n" + _bulk(name, True) + b":%d\r\n", values.tolist()
+        else:
+            body, column = body + b"*2\r\n" + _bulk(name, True) + b"%s", _chunks(b"", values, pooled)
+        cells.append(column)
+    if is_node:  # ["node", id, [labels], [[key, value]...]]
+        keys, args, name = [r.labels for r in records], [ids], graph.schema.label_name
+        heads = {k: b"*%d\r\n" % len(k) + b"".join(_bulk(name(i), True) for i in k) for k in set(keys)}
+        start = b"*4\r\n$4\r\nnode\r\n:%d\r\n"
+    else:  # ["relationship", id, type, src, dst, [[key, value]...]]
+        keys, args = [r.rel_id for r in records], [ids, [r.src for r in records], [r.dst for r in records]]
+        heads = {k: _bulk(graph.schema.reltype_name(k), True) + b":%d\r\n:%d\r\n" for k in set(keys)}
+        start = b"*6\r\n$12\r\nrelationship\r\n:%d\r\n"
+    templates = {k: start + head + b"*%d\r\n" + body for k, head in heads.items()}
+    encoded = iter([Encoded(templates[k] % row) for k, row in zip(keys, zip(*args, count.tolist(), *cells))])
+    return [None if e is None else next(encoded) for e in items]
+
+
+def _chunks(prefix: bytes, values: np.ndarray, pooled: bool) -> List[bytes]:
+    """``prefix`` plus each value of one property column in RESP."""
+    cells = values.tolist()
+    if pooled:  # a string column: each distinct string once
+        return list(map({v: prefix + _bulk(v) for v in set(cells)}.__getitem__, cells))
+    return [prefix + encode(encode_value(v)) for v in cells]
 
 
 def _walk_ops(op):
@@ -243,10 +280,16 @@ class GraphModule:
         return db
 
     @staticmethod
-    def _result_reply(result: ResultSet) -> list:
-        header = list(result.columns)
-        rows = [[encode_value(v) for v in row] for row in result.rows]
-        return [header, rows, result.stats.summary()]
+    def _execute(db: GraphDB, compiled: CompiledQuery, params: Dict[str, Any], **kw) -> list:
+        """Run ``compiled`` and reply; the rows encode inside the query's
+        lock, so every entity reads as the query left it."""
+        rows: list = []
+
+        def encode_rows(result: ResultSet) -> None:
+            rows.extend(map(list, zip(*[encode_value(list(column)) for column in zip(*result.rows)])))
+
+        result = db.engine.execute(compiled, params, on_result=encode_rows, **kw)
+        return [list(result.columns), rows, result.stats.summary()]
 
     # ------------------------------------------------------------------
     # Command handlers (each runs on ONE pool thread)
@@ -260,10 +303,10 @@ class GraphModule:
             # the log keeps the text as sent and the caller's parameters;
             # replay lifts the literals again
             on_commit = self._log_hook(key, db, compiled, text, params)
-        result = db.engine.execute(compiled, run_params, cached=cached, on_commit=on_commit)
+        reply = self._execute(db, compiled, run_params, cached=cached, on_commit=on_commit)
         if on_commit is not None:
             self._maybe_auto_snapshot(key, db)
-        return self._result_reply(result)
+        return reply
 
     def _log_hook(self, key: str, db: GraphDB, compiled: CompiledQuery, text: str, params: Dict[str, Any]):
         """The durability append for one write query, to run inside the
@@ -336,8 +379,7 @@ class GraphModule:
         compiled, cached, run_params = db.engine.get_plan(text, params)
         if compiled.writes:
             raise ResponseError("ERR graph.RO_QUERY is to be executed only on read-only queries")
-        result = db.engine.execute(compiled, run_params, cached=cached)
-        return self._result_reply(result)
+        return self._execute(db, compiled, run_params, cached=cached)
 
     def explain(self, key: str, query_text: str) -> List[str]:
         text, params = parse_cypher_params(query_text)

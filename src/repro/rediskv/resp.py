@@ -3,16 +3,16 @@
 Covers the five RESP2 types: simple strings (``+``), errors (``-``),
 integers (``:``), bulk strings (``$``, including the ``$-1`` null) and
 arrays (``*``, including nested and ``*-1`` null arrays).  Doubles are
-transported as bulk strings, matching Redis 6 behaviour.
+transported as bulk strings, matching Redis 6 behaviour.  Nothing recurses.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List
 
 from repro.errors import ProtocolError
 
-__all__ = ["SimpleString", "RespError", "encode", "RespParser", "NEED_MORE"]
+__all__ = ["SimpleString", "RespError", "Encoded", "encode", "RespParser", "NEED_MORE"]
 
 CRLF = b"\r\n"
 
@@ -25,38 +25,53 @@ class RespError(Exception):
     """An error reply (``-PREFIX message``); also decodable."""
 
 
+class Encoded(bytes):
+    """One value already in RESP form; :func:`encode` emits it verbatim."""
+
+
+# a subclass encodes as the first of these it is an instance of
+_KINDS = (SimpleString, RespError, Exception, bool, int, float, str, bytes, list, tuple)
+_EXACT = frozenset(_KINDS) | {Encoded, type(None)}
+
+
 def encode(value: Any) -> bytes:
     """Encode a Python value as RESP2 bytes."""
-    if isinstance(value, SimpleString):
-        return b"+" + str(value).encode() + CRLF
-    if isinstance(value, (RespError,)):
-        return b"-" + str(value).encode() + CRLF
-    if isinstance(value, Exception):
-        return b"-ERR " + str(value).encode().replace(b"\r\n", b" ") + CRLF
-    if isinstance(value, bool):
-        # Redis has no boolean in RESP2; integers 1/0 by convention
-        return b":" + (b"1" if value else b"0") + CRLF
-    if isinstance(value, int):
-        return b":" + str(value).encode() + CRLF
-    if isinstance(value, float):
-        data = repr(value).encode()
-        return b"$" + str(len(data)).encode() + CRLF + data + CRLF
-    if isinstance(value, str):
-        data = value.encode()
-        return b"$" + str(len(data)).encode() + CRLF + data + CRLF
-    if isinstance(value, bytes):
-        return b"$" + str(len(value)).encode() + CRLF + value + CRLF
-    if value is None:
-        return b"$-1" + CRLF
-    if isinstance(value, (list, tuple)):
-        out = b"*" + str(len(value)).encode() + CRLF
-        for item in value:
-            out += encode(item)
-        return out
-    raise ProtocolError(f"cannot encode {type(value).__name__} as RESP")
+    parts: List[bytes] = []
+    append = parts.append
+    stack = [iter((value,))]  # the arrays being written, innermost last
+    while stack:
+        for value in stack[-1]:
+            kind = type(value)
+            if kind not in _EXACT:
+                kind = next((k for k in _KINDS if isinstance(value, k)), None)
+                if kind is None:
+                    raise ProtocolError(f"cannot encode {type(value).__name__} as RESP")
+            if kind is str or kind is float or kind is bytes:
+                data = value if kind is bytes else (repr(value) if kind is float else value).encode()
+                append(b"$%d\r\n%s\r\n" % (len(data), data))
+            elif kind is list or kind is tuple:
+                append(b"*%d\r\n" % len(value))
+                stack.append(iter(value))
+                break
+            elif kind is Encoded:
+                append(value)
+            elif kind is int or kind is bool:  # RESP2 has no boolean: 1/0 by convention
+                append(b":%d\r\n" % value)
+            elif value is None:
+                append(b"$-1\r\n")
+            elif kind is SimpleString:
+                append(b"+%s\r\n" % value.encode())
+            elif kind is RespError:
+                append(b"-%s\r\n" % str(value).encode())
+            else:  # any other exception is a generic error reply
+                append(b"-ERR %s\r\n" % str(value).encode().replace(CRLF, b" "))
+        else:
+            stack.pop()
+    return b"".join(parts)
 
 
 NEED_MORE = object()  # sentinel: the buffer does not yet hold a full value
+_HEADS = {36: "bulk length", 42: "array length", 58: "integer reply"}
 
 
 class RespParser:
@@ -65,25 +80,79 @@ class RespParser:
     Feed raw socket bytes with :meth:`feed`; :meth:`parse_one` returns a
     decoded value or :data:`NEED_MORE`.  Bulk strings decode to ``str``
     (graph traffic is textual), errors decode to :class:`RespError`
-    instances (not raised).
+    instances (not raised).  A value split across feeds resumes where
+    the last call stopped; after a :class:`ProtocolError` the parser is spent.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._pos = 0  # read offset: everything before it is decoded
+        self._open: List[tuple] = []  # unfinished arrays, outermost first: (items, length)
 
     def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._buf[: self._pos]
+            self._pos = 0
         self._buf.extend(data)
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buf)
-
     def parse_one(self) -> Any:
-        result, consumed = self._parse(0)
-        if result is NEED_MORE:
-            return NEED_MORE
-        del self._buf[:consumed]
-        return result
+        buf, pos, stack = self._buf, self._pos, self._open
+        items, need = stack.pop() if stack else (None, 0)  # the innermost open array
+        find, size = buf.find, len(buf)
+        while pos < size:
+            eol = find(CRLF, pos + 1)
+            if eol < 0:
+                break
+            kind = buf[pos]
+            if kind == 36 or kind == 42 or kind == 58:  # $ bulk string, * array, : integer
+                try:
+                    n = int(buf[pos + 1 : eol])
+                except ValueError:
+                    raise ProtocolError(f"invalid {_HEADS[kind]}: {bytes(buf[pos + 1 : eol])!r}") from None
+                if kind == 58:
+                    value = n
+                elif n < 0:
+                    if n != -1:
+                        raise ProtocolError(f"negative {_HEADS[kind]}: {n}")
+                    value = None
+                elif kind == 42:
+                    if n:
+                        if items is not None:
+                            stack.append((items, need))
+                        items, need, pos = [], n, eol + 2
+                        continue
+                    value = []
+                else:
+                    stop = eol + 2 + n
+                    if size < stop + 2:
+                        break
+                    if not buf.startswith(CRLF, stop):
+                        raise ProtocolError("bulk string missing CRLF terminator")
+                    try:
+                        value = buf[eol + 2 : stop].decode()
+                    except UnicodeDecodeError:
+                        value = bytes(buf[eol + 2 : stop])
+                    eol = stop
+            elif kind == 43:  # + simple string
+                value = SimpleString(buf[pos + 1 : eol].decode())
+            elif kind == 45:  # - error
+                value = RespError(buf[pos + 1 : eol].decode())
+            else:
+                raise ProtocolError(f"unknown RESP type byte: {bytes(buf[pos : pos + 1])!r}")
+            pos = eol + 2
+            while items is not None:  # hand the value to the innermost open array
+                items.append(value)
+                if len(items) < need:
+                    break
+                value = items
+                items, need = stack.pop() if stack else (None, 0)
+            else:
+                self._pos = pos
+                return value
+        if items is not None:
+            stack.append((items, need))
+        self._pos = pos
+        return NEED_MORE
 
     def parse_all(self) -> List[Any]:
         out = []
@@ -92,65 +161,3 @@ class RespParser:
             if value is NEED_MORE:
                 return out
             out.append(value)
-
-    # ------------------------------------------------------------------
-    def _line(self, pos: int) -> Tuple[Union[bytes, object], int]:
-        idx = self._buf.find(CRLF, pos)
-        if idx < 0:
-            return NEED_MORE, pos
-        return bytes(self._buf[pos:idx]), idx + 2
-
-    def _parse(self, pos: int) -> Tuple[Any, int]:
-        if pos >= len(self._buf):
-            return NEED_MORE, pos
-        kind = self._buf[pos : pos + 1]
-        line, after = self._line(pos + 1)
-        if line is NEED_MORE:
-            return NEED_MORE, pos
-        assert isinstance(line, bytes)
-        if kind == b"+":
-            return SimpleString(line.decode()), after
-        if kind == b"-":
-            return RespError(line.decode()), after
-        if kind == b":":
-            try:
-                return int(line), after
-            except ValueError:
-                raise ProtocolError(f"invalid integer reply: {line!r}") from None
-        if kind == b"$":
-            try:
-                n = int(line)
-            except ValueError:
-                raise ProtocolError(f"invalid bulk length: {line!r}") from None
-            if n == -1:
-                return None, after
-            if n < 0:
-                raise ProtocolError(f"negative bulk length: {n}")
-            end = after + n + 2
-            if len(self._buf) < end:
-                return NEED_MORE, pos
-            data = bytes(self._buf[after : after + n])
-            if bytes(self._buf[after + n : end]) != CRLF:
-                raise ProtocolError("bulk string missing CRLF terminator")
-            try:
-                return data.decode(), end
-            except UnicodeDecodeError:
-                return data, end
-        if kind == b"*":
-            try:
-                n = int(line)
-            except ValueError:
-                raise ProtocolError(f"invalid array length: {line!r}") from None
-            if n == -1:
-                return None, after
-            if n < 0:
-                raise ProtocolError(f"negative array length: {n}")
-            items = []
-            cursor = after
-            for _ in range(n):
-                value, cursor = self._parse(cursor)
-                if value is NEED_MORE:
-                    return NEED_MORE, pos
-                items.append(value)
-            return items, cursor
-        raise ProtocolError(f"unknown RESP type byte: {kind!r}")

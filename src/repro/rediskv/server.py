@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ProtocolError
 from repro.graph.config import GraphConfig
 from repro.rediskv.durability import DurabilityManager
 from repro.rediskv.graph_module import GraphModule
@@ -42,9 +42,9 @@ class _PendingReply:
 
     __slots__ = ("data", "ready")
 
-    def __init__(self) -> None:
-        self.data: bytes = b""
-        self.ready = False
+    def __init__(self, data: Optional[bytes] = None) -> None:
+        self.data = data or b""
+        self.ready = data is not None
 
 
 class _Connection:
@@ -138,51 +138,49 @@ class _IOLoop:
         if not data:
             self.close_conn(conn)
             return
+        if conn.closing:  # a protocol error ended this connection
+            return
         conn.parser.feed(data)
         while True:
-            command = conn.parser.parse_one()
+            try:
+                command = conn.parser.parse_one()
+            except ProtocolError as exc:  # like Redis: answer, then close this connection only
+                conn.outbox.append(_PendingReply(encode(Exception(f"Protocol error: {exc}"))))
+                conn.closing = True
+                return
             if command is NEED_MORE:
                 break
             self._dispatch(conn, command)
 
     def _dispatch(self, conn: _Connection, command: Any) -> None:
         self.commands += 1
-        slot = _PendingReply()
-        conn.outbox.append(slot)
-        if not isinstance(command, list) or not command:
-            slot.data = encode(Exception("protocol error: expected a command array"))
-            slot.ready = True
+        if type(command) is not list or not command or not all(type(a) in (str, bytes, int) for a in command):
+            conn.outbox.append(_PendingReply(encode(Exception("protocol error: expected an array of bulk strings"))))
             return
         name = str(command[0]).upper()
         args = [str(a) for a in command[1:]]
         server = self.server
 
+        def reply(run) -> bytes:
+            try:
+                return encode(run(name, args))
+            except Exception as exc:  # noqa: BLE001 - an error reply, never a dead loop or worker
+                return encode(exc)
+
         if name.startswith("GRAPH."):
             # module command: compute the reply on one pool thread
-            def run() -> bytes:
-                try:
-                    return encode(server._graph_command(name, args))
-                except ReproError as exc:
-                    return encode(exc)
-                except Exception as exc:  # noqa: BLE001 - reply, don't kill the worker
-                    return encode(exc)
+            slot = _PendingReply()
+            conn.outbox.append(slot)
 
             def done(job: Job, _slot=slot) -> None:
                 _slot.data = job.result()
                 _slot.ready = True
                 self.wake()
 
-            server.pool.submit(run, callback=done)
+            server.pool.submit(reply, server._graph_command, callback=done)
             return
-
         # plain commands execute inline on the I/O thread
-        try:
-            slot.data = encode(server._plain_command(name, args))
-        except ReproError as exc:
-            slot.data = encode(exc)
-        except Exception as exc:  # noqa: BLE001
-            slot.data = encode(exc)
-        slot.ready = True
+        conn.outbox.append(_PendingReply(reply(server._plain_command)))
 
     def _flush_ready(self) -> None:
         for conn in list(self.conns.values()):
@@ -269,35 +267,17 @@ class RedisLikeServer:
     # Command implementations
     # ------------------------------------------------------------------
     def _graph_command(self, name: str, args: List[str]):
-        if name == "GRAPH.QUERY":
+        if name in ("GRAPH.QUERY", "GRAPH.RO_QUERY", "GRAPH.EXPLAIN", "GRAPH.PROFILE", "GRAPH.BULK"):
             if len(args) < 2:
                 raise WrongArity(name)
-            return self.module.query(args[0], args[1])
-        if name == "GRAPH.RO_QUERY":
-            if len(args) < 2:
-                raise WrongArity(name)
-            return self.module.ro_query(args[0], args[1])
-        if name == "GRAPH.EXPLAIN":
-            if len(args) < 2:
-                raise WrongArity(name)
-            return self.module.explain(args[0], args[1])
-        if name == "GRAPH.PROFILE":
-            if len(args) < 2:
-                raise WrongArity(name)
-            return self.module.profile(args[0], args[1])
-        if name == "GRAPH.BULK":
-            if len(args) < 2:
-                raise WrongArity(name)
+            if name != "GRAPH.BULK":  # the module method is the command's lowercased name
+                return getattr(self.module, name[6:].lower())(args[0], args[1])
             reply = self.module.bulk(args[0], args[1], args[2:])
             return SimpleString(reply) if reply == "OK" else reply
-        if name == "GRAPH.DELETE":
+        if name in ("GRAPH.DELETE", "GRAPH.SAVE"):
             if len(args) != 1:
                 raise WrongArity(name)
-            return SimpleString(self.module.delete(args[0]))
-        if name == "GRAPH.SAVE":
-            if len(args) != 1:
-                raise WrongArity(name)
-            return SimpleString(self.module.save(args[0]))
+            return SimpleString(getattr(self.module, name[6:].lower())(args[0]))
         if name == "GRAPH.LIST":
             return self.module.list_graphs()
         if name == "GRAPH.CONFIG":

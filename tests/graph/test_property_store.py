@@ -285,8 +285,8 @@ def test_v2_snapshot_written_before_typed_columns_loads_equal():
 
 
 def test_unlocked_reads_never_see_a_torn_cell():
-    """Replies read entity properties after the query lock is released, so
-    one-cell reads race writes.  A writer flips an int and a string
+    """Embedded API handles read entity properties outside any query's
+    lock, so one-cell reads race writes.  A writer flips an int and a string
     property between absent and ever-new values (the string forcing pool
     rebuilds) while readers take ``node_properties`` without a lock: every
     read must be a state some write produced — never a blank cell's 0."""

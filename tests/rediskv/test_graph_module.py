@@ -1,12 +1,24 @@
 """GraphModule unit tests: reply encoding and module-level behaviour
 (without the TCP layer)."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import ResponseError
 from repro.graph.config import GraphConfig
 from repro.rediskv.graph_module import GraphModule, encode_value, parse_cypher_params
 from repro.rediskv.keyspace import Keyspace
+from repro.rediskv.resp import RespParser, encode
+
+
+def on_the_wire(reply):
+    """A module reply as a client decodes it (entity cells are bytes)."""
+    parser = RespParser()
+    parser.feed(encode(reply))
+    return parser.parse_one()
 
 
 @pytest.fixture
@@ -29,7 +41,7 @@ class TestEncodeValue:
 
     def test_node_encoding(self, module):
         module.query("g", "CREATE (:P:Q {b: 2, a: 1})")
-        reply = module.query("g", "MATCH (n:P) RETURN n")
+        reply = on_the_wire(module.query("g", "MATCH (n:P) RETURN n"))
         node = reply[1][0][0]
         assert node[0] == "node"
         assert sorted(node[2]) == ["P", "Q"]
@@ -37,7 +49,7 @@ class TestEncodeValue:
 
     def test_edge_encoding(self, module):
         module.query("g", "CREATE (:A)-[:R {w: 1}]->(:B)")
-        reply = module.query("g", "MATCH ()-[e:R]->() RETURN e")
+        reply = on_the_wire(module.query("g", "MATCH ()-[e:R]->() RETURN e"))
         edge = reply[1][0][0]
         assert edge[0] == "relationship" and edge[2] == "R"
         assert edge[5] == [["w", 1]]
@@ -93,3 +105,48 @@ class TestParamPrefixEdgeCases:
     def test_empty_params_section(self):
         q, p = parse_cypher_params("CYPHER   MATCH (n) RETURN n")
         assert p == {} and q.strip() == "MATCH (n) RETURN n"
+
+
+def test_entity_replies_read_one_committed_state():
+    """Readers encode ``RETURN n`` while a writer deletes every node and
+    creates the next generation in the freed slots: no reply fails, and
+    each one shows a single committed generation whole."""
+    module = GraphModule(Keyspace(), GraphConfig())
+    create = "UNWIND range(1, 200) AS i CREATE (:P {{gen: {0}, i: i, s: 'g{0}'}})"
+    module.query("g", create.format(0))
+    writing = threading.Event()
+    writing.set()
+    errors, replies = [], []
+
+    def write():
+        for gen in range(1, 31):
+            module.query("g", "MATCH (n:P) DELETE n")
+            time.sleep(0.0005)  # the lock prefers writers: leave readers a gap
+            module.query("g", create.format(gen))
+            time.sleep(0.0005)
+        writing.clear()
+
+    def read():
+        while writing.is_set():
+            try:
+                replies.append(on_the_wire(module.query("g", "MATCH (n:P) RETURN n"))[1])
+            except Exception as exc:  # noqa: BLE001 - every failure is a finding
+                errors.append(exc)
+
+    threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, as a busy server would
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and any(replies)
+    for rows in replies:
+        props = [dict(map(tuple, row[0][3])) for row in rows]
+        assert all(row[0][2] == ["P"] for row in rows)
+        assert len({p["gen"] for p in props}) <= 1
+        assert sorted(p["i"] for p in props) in ([], list(range(1, 201)))
+        assert all(p["s"] == f"g{p['gen']}" for p in props)

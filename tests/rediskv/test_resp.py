@@ -87,6 +87,42 @@ class TestDecode:
         parser.feed(encode(["PING"]) + encode(["GET", "k"]))
         assert parser.parse_all() == [["PING"], ["GET", "k"]]
 
+    def test_pipelined_commands_fed_in_pieces(self):
+        commands = [["SET", f"k{i}", "v" * i] for i in range(50)] + [["PING"]]
+        payload = b"".join(encode(c) for c in commands)
+        parser = RespParser()
+        out = []
+        for i in range(0, len(payload), 37):
+            parser.feed(payload[i : i + 37])
+            out.extend(parser.parse_all())
+        assert out == commands and parser.parse_one() is NEED_MORE
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 10_000
+        payload = b"*1\r\n" * depth + b":1\r\n"
+        value = decode_one(payload)
+        for _ in range(depth):  # walk down: == on it would recurse
+            assert type(value) is list and len(value) == 1
+            value = value[0]
+        assert value == 1
+        nested = 1
+        for _ in range(depth):
+            nested = [nested]
+        assert encode(nested) == payload
+
+    def test_large_reply_in_small_chunks_matches_one_shot(self):
+        rows = [["node", i, ["Person"], [["age", i % 90], ["city", f"city{i % 64}"], ["score", i * 1.5]]] for i in range(3000)]
+        payload = encode([["p"], [[row] for row in rows], ["Cached execution: 0"]])
+        assert len(payload) >= 200_000
+        parser = RespParser()
+        chunked = NEED_MORE
+        for i in range(0, len(payload), 1024):
+            assert chunked is NEED_MORE
+            parser.feed(payload[i : i + 1024])
+            chunked = parser.parse_one()
+        assert chunked == decode_one(payload)
+        assert chunked[1][2999][0][3][2] == ["score", "4498.5"]
+
     def test_bad_type_byte(self):
         with pytest.raises(ProtocolError):
             decode_one(b"?x\r\n")
