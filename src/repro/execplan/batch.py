@@ -17,8 +17,8 @@ all columns the same length.  Two column kinds exist:
   typed form is produced by property gathers (the store's typed columns,
   taken as they are) and vectorized kernels, and converted back to
   Python values only on escape.  A gathered string column also carries
-  its ``int32`` pool codes, which a group-by factorizes instead of the
-  strings.
+  its ``int32`` pool codes and the pool they index, so a group-by maps
+  integers, not strings.
 
 Invariant: object arrays hold *Python* scalars (never numpy scalars), so
 values escaping a batch are indistinguishable from row-engine values.
@@ -162,19 +162,22 @@ class EntityColumn:
 class ValueColumn:
     """A scalar column: object values, or a typed array + null mask.
 
-    ``codes`` is a gathered string property's pool codes (-1 = null;
-    within one column equal codes mean equal strings): a memo that rides
-    through take/slice so a group-by factorizes integers, not strings.
+    ``codes`` is a gathered string property's pool codes (-1 = null) and
+    ``pool`` the string list they index: a memo that rides through
+    take/slice so a group-by maps integers, not strings.  Codes of one
+    ``pool`` object mean the same strings in every column that has it.
     """
 
-    __slots__ = ("values", "nulls", "codes")
+    __slots__ = ("values", "nulls", "codes", "pool")
 
     def __init__(
-        self, values: np.ndarray, nulls: Optional[np.ndarray] = None, codes: Optional[np.ndarray] = None
+        self, values: np.ndarray, nulls: Optional[np.ndarray] = None, codes: Optional[np.ndarray] = None,
+        pool: Optional[list] = None,
     ) -> None:
         self.values = values
         self.nulls = nulls
         self.codes = codes
+        self.pool = pool
 
     def __len__(self) -> int:
         return len(self.values)
@@ -201,6 +204,7 @@ class ValueColumn:
             self.values[indices],
             self.nulls[indices] if self.nulls is not None else None,
             self.codes[indices] if self.codes is not None else None,
+            self.pool,
         )
 
     def slice(self, start: int, stop: int) -> "ValueColumn":
@@ -235,7 +239,8 @@ def null_column(n: int) -> ValueColumn:
 def gathered_column(graph, kind: str, ids: np.ndarray, key: str) -> ValueColumn:
     """One property of node/edge ``ids`` as a column, typed as stored."""
     gather = graph.node_property_column if kind == "node" else graph.edge_property_column
-    return ValueColumn(*gather(ids, key))
+    values, nulls, codes = gather(ids, key)
+    return ValueColumn(values, nulls, codes, None if codes is None else graph.string_pool(kind, key))
 
 
 def as_entity_ids(col: Column) -> Optional[Tuple[str, np.ndarray]]:
@@ -381,10 +386,19 @@ class RecordBatch:
                     for c in cols
                 ]
                 columns.append(EntityColumn(entity[0].kind, np.concatenate(ids), entity[0].graph))
-            else:
+            elif all(isinstance(c, ValueColumn) and c.values.dtype == cols[0].values.dtype != object for c in cols):
+                # one typed dtype stays typed; mixed dtypes go to objects,
+                # so 1 and 1.0 keep their types (and string codes, which
+                # ride on object columns, are dropped)
+                nulls = [c.null_mask() for c in cols] if any(c.nulls is not None for c in cols) else None
                 columns.append(
-                    ValueColumn(np.concatenate([c.to_objects() for c in cols]))
+                    ValueColumn(
+                        np.concatenate([c.values for c in cols]),
+                        None if nulls is None else np.concatenate(nulls),
+                    )
                 )
+            else:
+                columns.append(ValueColumn(np.concatenate([c.to_objects() for c in cols])))
         return cls(layout, columns)
 
     def __repr__(self) -> str:

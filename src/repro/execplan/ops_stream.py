@@ -6,9 +6,11 @@ emit :class:`~repro.execplan.batch.RecordBatch` columns —
 
 * Filter   = predicate kernel → boolean-mask compress,
 * Project  = column-at-a-time expression evaluation,
-* Aggregate= ``np.unique``-keyed group-by fast path for
-  count/sum/avg/min/max and for ``count(DISTINCT x)`` over ids, ints or
-  strings (object-dict fallback for everything else),
+* Aggregate= one group table per run: keys map to dense group ids
+  vectorized (pool codes through a code → id array, other keys through a
+  sorted key table), count/sum/avg fold in by ``bincount`` into per-group
+  arrays; min/max and ``count(DISTINCT x)`` over ids, ints or strings
+  stay array-at-a-time, the rest folds row by row into the same table,
 * Distinct = unique over handle-free key columns,
 * Sort     = ``np.lexsort`` on typed key columns (+ top-k slice),
 * Skip/Limit = batch slicing with cross-batch carry,
@@ -113,13 +115,10 @@ def _exact_keys(values: list) -> Optional[np.ndarray]:
 
 
 def _typed_keys(col: Column) -> Optional[np.ndarray]:
-    """A gathered column's own exact key array, or None: a string
-    column's codes (null is code -1, a group of its own), or a typed
-    column without nulls — and, for floats, without NaN."""
+    """A typed column's own exact key array, or None: the values of a
+    typed column without nulls — and, for floats, without NaN."""
     if not isinstance(col, ValueColumn):
         return None
-    if col.codes is not None:
-        return col.codes
     values = col.values
     if values.dtype == object or (col.nulls is not None and col.nulls.any()):
         return None
@@ -246,21 +245,21 @@ class AggSpec:
 
 
 class _AggState:
-    """One aggregate's running state in one group.
+    """What one aggregate in one group needs beyond its count and total
+    (which live in :class:`_Groups`' arrays): collect's values, min/max's
+    best value, and a DISTINCT aggregate's seen set.
 
-    A DISTINCT aggregate's seen set lives in two forms that together are
-    one set: ``seen`` holds the row loop's :func:`_hashable` keys, and
-    ``seen_keys`` maps a key domain (``"node"``, ``"edge"``, ``"int"``,
-    ``"str"``) to the sorted unique array the vectorized ``count(DISTINCT)``
-    recorded.  The row loop folds the arrays into ``seen`` before it reads
-    it; the vector path checks both — so a run whose batches take
-    different paths still dedupes across them."""
+    The seen set lives in two forms that together are one set: ``seen``
+    holds the row loop's :func:`_hashable` keys, and ``seen_keys`` maps a
+    key domain (``"node"``, ``"edge"``, ``"int"``, ``"str"``) to the sorted
+    unique array the vectorized ``count(DISTINCT)`` recorded.  The row loop
+    folds the arrays into ``seen`` before it reads it; the vector path
+    checks both — so a run whose batches take different paths still
+    dedupes across them."""
 
-    __slots__ = ("count", "total", "values", "best", "seen", "seen_keys")
+    __slots__ = ("values", "best", "seen", "seen_keys")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
         self.values: List[Any] = []
         self.best: Any = None
         self.seen: set = set()
@@ -280,22 +279,136 @@ def _domain_hashables(domain: str, keys: np.ndarray) -> list:
     return keys.tolist()
 
 
+class _Groups:
+    """One run's group table: each group key seen so far has a dense id,
+    given in first-appearance order, and every aggregate its count and
+    total in a numpy array indexed by that id (``_AggState`` per id only
+    for the aggregates that need one).
+
+    ``index`` maps the row loop's key — one :func:`_hashable` per key
+    column — to the id, and is the one authority.  In front of it sit
+    caches the vector path reads: a code → id array for the string pool
+    whose codes it saw last, and per key domain (entity kind or dtype
+    kind) a sorted key array with the ids beside it.  Only keys that miss
+    a cache go through ``index``, so a batch on either path, and ``1`` in
+    an int column or ``1.0`` in a float one, land in one group."""
+
+    def __init__(self, stateful: Sequence[bool]) -> None:
+        self.index: dict = {}
+        self.keys: List[list] = []  # id -> the group's key values
+        self.counts = np.zeros((len(stateful), 16), dtype=_I64)
+        self.totals = np.zeros((len(stateful), 16))
+        self.states = [[] if s else None for s in stateful]  # per aggregate, None: arrays only
+        self.pool: Optional[list] = None
+        self.code_ids: Optional[np.ndarray] = None  # code + 1 -> id, -1 = not cached; set with pool
+        self.sorted: dict = {}  # domain -> (sorted keys, their ids)
+
+    def add(self, key: tuple, values: list) -> int:
+        """The id of the group ``key``, made (with ``values``) if new."""
+        gid = self.index.get(key)
+        if gid is None:
+            gid = self.index[key] = len(self.keys)
+            self.keys.append(values)
+            if gid == self.counts.shape[1]:
+                self.counts = np.concatenate([self.counts, np.zeros_like(self.counts)], axis=1)
+                self.totals = np.concatenate([self.totals, np.zeros_like(self.totals)], axis=1)
+            for states in self.states:
+                if states is not None:
+                    states.append(_AggState())
+        return gid
+
+    def row_ids(self, key_cols: List[Column]) -> np.ndarray:
+        """The row loop: each row's key tuple through ``index``."""
+        objects: Optional[list] = None
+        gids = []
+        for i, key in enumerate(zip(*[c.hash_keys() for c in key_cols])):
+            gid = self.index.get(key)
+            if gid is None:
+                if objects is None:
+                    objects = [c.to_objects() for c in key_cols]
+                gid = self.add(key, [o[i] for o in objects])
+            gids.append(gid)
+        return np.array(gids, dtype=_I64)
+
+    def vector_ids(self, col: Column) -> Optional[np.ndarray]:
+        """One key column's group ids through the caches, or None when the
+        column has no exact key array (nulls outside a string or entity
+        column, NaN, mixed kinds, ints past what float64 holds exactly)."""
+        if isinstance(col, EntityColumn):
+            return self._sorted_ids(col.kind, col.ids, col)
+        if col.codes is not None:
+            return self._code_ids(col)
+        arr = _typed_keys(col)
+        if arr is None:
+            arr = _exact_keys(col.tolist())
+        return None if arr is None else self._sorted_ids(arr.dtype.kind, arr, col)
+
+    def _code_ids(self, col: ValueColumn) -> np.ndarray:
+        if col.pool is not self.pool:  # another pool numbers its strings apart
+            self.pool, self.code_ids = col.pool, np.empty(0, dtype=_I64)
+        if len(self.code_ids) <= len(col.pool):  # the pool grew
+            self.code_ids = np.concatenate(
+                [self.code_ids, np.full(len(col.pool) + 1 - len(self.code_ids), -1, dtype=_I64)]
+            )
+        slots = col.codes + 1  # code -1 (null) is slot 0
+        gids = self.code_ids[slots]
+        miss = np.flatnonzero(gids < 0)
+        if len(miss):
+            new, new_ids = self._resolve(col, slots, miss)
+            self.code_ids[new] = new_ids
+            gids[miss] = self.code_ids[slots[miss]]
+        return gids
+
+    def _sorted_ids(self, domain, arr: np.ndarray, col: Column) -> np.ndarray:
+        keys, ids = self.sorted.get(domain, (arr[:0], np.empty(0, dtype=_I64)))
+        hit, pos = K.membership(keys, arr)
+        gids = np.where(hit, ids[pos] if len(ids) else -1, -1)
+        miss = np.flatnonzero(~hit)
+        if len(miss):
+            new, new_ids = self._resolve(col, arr, miss)
+            gids[miss] = new_ids[np.searchsorted(new, arr[miss])]
+            # merge the new keys in (np.insert would cut them to the
+            # cache's string width)
+            at = np.searchsorted(keys, new) + np.arange(len(new))
+            merged = np.empty(len(keys) + len(new), dtype=np.result_type(keys, new))
+            merged_ids = np.empty(len(merged), dtype=_I64)
+            old = np.ones(len(merged), dtype=np.bool_)
+            old[at] = False
+            merged[at], merged[old] = new, keys
+            merged_ids[at], merged_ids[old] = new_ids, ids
+            self.sorted[domain] = (merged, merged_ids)
+        return gids
+
+    def _resolve(self, col: Column, arr: np.ndarray, miss: np.ndarray):
+        """The distinct keys of the ``miss`` rows (sorted) and their ids,
+        found in — or added to — ``index`` in first-appearance order."""
+        new, first = np.unique(arr[miss], return_index=True)
+        order = np.argsort(first)
+        values = col.take(miss[first[order]]).to_objects().tolist()
+        new_ids = np.empty(len(new), dtype=_I64)
+        new_ids[order] = [self.add((_hashable(v),), [v]) for v in values]
+        return new, new_ids
+
+
 class Aggregate(PlanOp):
     """Hash aggregation: group keys + aggregate columns.
 
     With no group keys, exactly one output row is emitted even on empty
     input (``count(*)`` over nothing is 0, ``sum`` is 0, others null).
 
-    Per batch the group keys factorize through ``np.unique`` when the key
-    column is an id vector or a homogeneous numeric/string column, and
-    count/sum/avg/min/max accumulate per group via ``bincount``/sorted
-    first-hit gathers.  ``count(DISTINCT x)`` stays handle-free too when
-    ``x`` is an id vector or an int/str column (:func:`_exact_keys`): per
-    group, ``np.unique`` of the batch's keys minus the state's seen keys.
-    Anything else (other DISTINCT aggregates, collect, mixed or composite
-    keys) drops to the object-dict row loop for that batch.  Group
-    *emission order* is first-appearance order in both paths, like the row
-    engine's insertion-ordered dict.
+    One run keeps one group table (:class:`_Groups`): a dense id per group
+    key, and count/total arrays per aggregate indexed by it.  A batch maps
+    its key column to ids vectorized — string pool codes through a
+    code → id array tied to their pool, ids and int/float/bool/str keys
+    through a sorted key table and ``searchsorted`` — and Python touches a
+    group only when it first appears and once at finalize.  Composite,
+    mixed or null-bearing keys, and ``exec_batch_size=1``, take the row
+    loop into the same table.  count/sum/avg then fold each batch in with
+    one ``bincount`` per aggregate; min/max take a stable first-hit per
+    group, and ``count(DISTINCT x)`` over ids or int/str keys a per-group
+    ``np.unique`` minus the seen keys.  Other DISTINCT aggregates, collect,
+    and min/max over inexact keys fold row by row.  Groups are emitted in
+    first-appearance order, like the row engine's insertion-ordered dict.
     """
 
     name = "Aggregate"
@@ -310,18 +423,13 @@ class Aggregate(PlanOp):
         super().__init__([child], Layout(names))
         self._group = list(group_items)
         self._aggs = list(agg_items)
+        self._specs = [spec for _, spec in self._aggs]
+        self._stateful = [spec.distinct or spec.kind in ("collect", "min", "max") for spec in self._specs]
         self._batch_group = [vectorize(fn) for _, fn in self._group]
         self._batch_aggs = [
             vectorize(spec.expr) if spec.expr is not None else None
             for _, spec in self._aggs
         ]
-        # loop-invariant: whether every aggregate can take the vectorized
-        # path (otherwise skip the per-batch key factorization entirely)
-        self._fast_specs = all(
-            spec.kind in ("count", "sum", "avg", "min", "max")
-            and (not spec.distinct or spec.kind == "count")
-            for _, spec in self._aggs
-        )
 
     def describe(self) -> str:
         return (
@@ -331,209 +439,142 @@ class Aggregate(PlanOp):
 
     # ------------------------------------------------------------------
     def _produce_batches(self, ctx: ExecContext) -> Iterator[RecordBatch]:
-        specs = [spec for _, spec in self._aggs]
-        groups: dict = {}
+        specs = self._specs
+        groups = _Groups(self._stateful)
+        if not self._group:
+            groups.add((), [])  # the one group, even over no input
         for batch in self.children[0].produce_batches(ctx):
             if batch.length:
-                self._absorb_batch(ctx, groups, batch, specs)
-        if not groups and not self._group:
-            groups[()] = ([], [_AggState() for _ in specs])
-        out_rows: List[Record] = []
-        for key_values, states in groups.values():
-            row = list(key_values)
-            for spec, state in zip(specs, states):
-                row.append(self._finalize(spec, state))
-            out_rows.append(row)
+                self._absorb_batch(ctx, groups, batch)
+        k = len(groups.keys)
+        counts, totals = groups.counts[:, :k].tolist(), groups.totals[:, :k].tolist()
+        columns = list(map(self._finalize, specs, counts, totals, groups.states))
+        out_rows: List[Record] = [key + [col[g] for col in columns] for g, key in enumerate(groups.keys)]
         yield from _chunk_rows(self.out_layout, out_rows, ctx.batch_size)
 
-    def _absorb_batch(self, ctx, groups, batch: RecordBatch, specs) -> None:
-        n = batch.length
-        key_cols: List[Column] = []
-        for (name, fn), bfn in zip(self._group, self._batch_group):
-            key_cols.append(_eval_column(bfn, fn, batch, ctx))
-        val_cols: List[Optional[Column]] = []
-        for (name, spec), bfn in zip(self._aggs, self._batch_aggs):
-            if bfn is None:
-                val_cols.append(None)  # count(*)
-            else:
-                val_cols.append(_eval_column(bfn, spec.expr, batch, ctx))
-        self._absorb(ctx, groups, key_cols, val_cols, specs, n)
-
-    # ------------------------------------------------------------------
-    def _absorb(self, ctx, groups, key_cols, val_cols, specs, n) -> None:
-        # exec_batch_size=1 must BE the row engine: the vectorized
-        # group-by is gated off so the differential leg really exercises
-        # the scalar accumulation path
-        codes_info = (
-            self._group_codes(key_cols, n)
-            if ctx.batch_size > 1 and self._fast_specs
-            else None
-        )
-        if codes_info is None:
-            self._absorb_rows(groups, key_cols, val_cols, specs, n)
-            return
-        codes, appearance, keys, values_fn = codes_info
-        states_by_code: List[Optional[list]] = [None] * len(keys)
-        for pos in appearance:
-            key = keys[pos]
-            entry = groups.get(key)
-            if entry is None:
-                entry = (values_fn(pos), [_AggState() for _ in specs])
-                groups[key] = entry
-            states_by_code[pos] = entry[1]
-        for spec_idx, (spec, col) in enumerate(zip(specs, val_cols)):
-            if not self._accumulate_fast(spec, col, codes, states_by_code, spec_idx, n):
-                self._accumulate_rows_one(
-                    spec, col.to_objects(), codes, states_by_code, spec_idx, n
-                )
-
-    def _group_codes(self, key_cols: List[Column], n: int):
-        """Factorize the group key: ``(codes, appearance_order, dict_keys,
-        values_fn)`` or None when the key shape needs the row loop.  Codes
-        index ``dict_keys``; ``appearance_order`` lists codes by first
-        occurrence so dict insertion order matches the row engine.
-
-        ``dict_keys`` entries MUST be shaped exactly like the row loop's
-        ``tuple(hash per key column)`` — one run may route different
-        batches through different paths, and both must land in the same
-        ``groups`` entry."""
-        if not self._group:
-            return (
-                np.zeros(n, dtype=_I64),
-                [0],
-                [()],
-                lambda pos: [],
-            )
-        if len(self._group) != 1:
-            return None
-        col = key_cols[0]
-        if isinstance(col, EntityColumn):
-            uniq, first_idx, codes = np.unique(
-                col.ids, return_index=True, return_inverse=True
-            )
-            kind = col.kind
-            graph = col.graph
-            ctor = Node if kind == "node" else Edge
-            keys = [((kind, i),) if i >= 0 else (None,) for i in uniq.tolist()]
-            ids = uniq.tolist()
-
-            def values_fn(pos):
-                i = ids[pos]
-                return [None if i < 0 else ctor(graph, i)]
-
-            appearance = np.argsort(first_idx, kind="stable").tolist()
-            return codes, appearance, keys, values_fn
-        arr = _typed_keys(col)
-        if arr is None:
-            arr = _exact_keys(col.tolist())
-        if arr is None:
-            return None
-        uniq, first_idx, codes = np.unique(arr, return_index=True, return_inverse=True)
-        reps = col.take(first_idx).to_objects().tolist()  # first-seen Python value, type kept
-        keys = [(_hashable(v),) for v in reps]
-
-        def values_fn(pos):
-            return [reps[pos]]
-
-        appearance = np.argsort(first_idx, kind="stable").tolist()
-        return codes, appearance, keys, values_fn
-
-    def _accumulate_fast(self, spec, col: Optional[Column], codes, states_by_code, spec_idx, n) -> bool:
-        k = len(states_by_code)
-        if spec.expr is None:  # count(*)
-            if k == 1:
-                states_by_code[0][spec_idx].count += n
-                return True
-            counts = np.bincount(codes, minlength=k)
-            for code in range(k):
-                c = int(counts[code])
-                if c:
-                    states_by_code[code][spec_idx].count += c
-            return True
-        nulls = col.null_mask()
-        if spec.distinct:  # count(DISTINCT x): the one DISTINCT kind here
-            return self._count_distinct(col, nulls, codes, states_by_code, spec_idx)
-        if spec.kind == "count":
-            # handle-free: counting an entity column never materializes it
-            if k == 1:
-                states_by_code[0][spec_idx].count += n - int(nulls.sum())
-                return True
-            counts = np.bincount(codes[np.flatnonzero(~nulls)], minlength=k)
-            for code in range(k):
-                c = int(counts[code])
-                if c:
-                    states_by_code[code][spec_idx].count += c
-            return True
-        nz = np.flatnonzero(~nulls)
-        if not len(nz):
-            return True
-        if col.values.dtype in (_I64, np.float64):  # a typed column, read as is
-            arr = col.values[nz]
-            present = None
+    def _absorb_batch(self, ctx, groups: _Groups, batch: RecordBatch) -> None:
+        key_cols = [
+            _eval_column(bfn, fn, batch, ctx) for (_, fn), bfn in zip(self._group, self._batch_group)
+        ]
+        val_cols = [
+            None if bfn is None else _eval_column(bfn, spec.expr, batch, ctx)  # None: count(*)
+            for spec, bfn in zip(self._specs, self._batch_aggs)
+        ]
+        # exec_batch_size=1 must BE the row engine: the vector key mapping,
+        # min/max and count(DISTINCT) are gated off so the differential leg
+        # exercises the row loop (count/sum/avg of one row add as scalars)
+        vector = ctx.batch_size > 1
+        if not key_cols:
+            gids = np.zeros(batch.length, dtype=_I64)
         else:
-            values = col.to_objects()
-            present = [values[i] for i in nz.tolist()]
-            if not set(map(type, present)) <= _NUMERIC_TYPES:
-                return False  # row loop raises/compares exactly like the scalar path
-        nz_codes = codes[nz]
-        counts = np.bincount(nz_codes, minlength=k)
+            gids = groups.vector_ids(key_cols[0]) if vector and len(key_cols) == 1 else None
+            if gids is None:
+                gids = groups.row_ids(key_cols)
+        for i, (spec, col) in enumerate(zip(self._specs, val_cols)):
+            self._accumulate(groups, i, spec, col, gids, vector)
+
+    def _accumulate(self, groups: _Groups, i: int, spec: AggSpec, col, gids, vector: bool) -> None:
+        k = len(groups.keys)
+        if col is None:  # count(*)
+            groups.counts[i, :k] += np.bincount(gids, minlength=k)
+            return
+        nulls = col.null_mask()
+        if spec.distinct and vector and spec.kind == "count" and self._count_distinct(groups, i, col, nulls, gids):
+            return
+        rows = np.flatnonzero(~nulls)
+        if spec.distinct:
+            rows = self._first_seen(groups.states[i], gids, col.to_objects(), rows)
+        if not len(rows):
+            return
+        row_ids = gids[rows]
+        if spec.kind == "count":
+            groups.counts[i, :k] += np.bincount(row_ids, minlength=k)
+            return
         if spec.kind in ("sum", "avg"):
-            # float64 accumulation like the row engine (state.total is a
-            # Python float there too), but per-batch subtotals re-associate
-            # the additions: float sums may differ in the last ULP across
-            # batch sizes (integer sums below 2**53 stay exact).  Ints
-            # beyond float64 overflow in the row loop instead, at the
-            # exact offending record
-            try:
-                floats = arr.astype(np.float64) if present is None else np.array(present, dtype=np.float64)
-            except OverflowError:
-                return False
-            sums = np.bincount(nz_codes, weights=floats, minlength=k)
-            for code in range(k):
-                c = int(counts[code])
-                if c:
-                    state = states_by_code[code][spec_idx]
-                    state.count += c
-                    state.total += float(sums[code])
-            return True
-        # min/max: stable first-hit per group so ties keep the earliest
-        # value object, like the row engine.  Pure-int columns order as
-        # int64 so values past 2**53 keep their exact order; anything the
-        # dtype cannot represent exactly (or NaN, whose ordering sort_key
-        # defines) drops to the row loop.
-        if present is None:
+            # float64 accumulation like the row engine (its total is a
+            # Python float too), but per-batch subtotals re-associate the
+            # additions: float sums may differ in the last ULP across batch
+            # sizes (integer sums below 2**53 stay exact).  An int past
+            # float64 raises OverflowError, as the row engine's add does
+            if isinstance(col, ValueColumn) and col.values.dtype in (_I64, np.float64):  # typed: read as is
+                floats = col.values[rows].astype(np.float64)
+            else:
+                present = col.to_objects()[rows].tolist()
+                if not set(map(type, present)) <= _NUMERIC_TYPES:
+                    raise CypherTypeError(f"{spec.kind}() expects numeric values")
+                floats = np.array(present, dtype=np.float64)
+            groups.counts[i, :k] += np.bincount(row_ids, minlength=k)
+            groups.totals[i, :k] += np.bincount(row_ids, weights=floats, minlength=k)
+            return
+        states = groups.states[i]
+        if spec.kind in ("min", "max") and vector and self._min_max(spec, states, col, rows, row_ids):
+            return
+        values = col.to_objects()[rows].tolist()
+        if spec.kind == "collect":
+            for gid, value in zip(row_ids.tolist(), values):
+                states[gid].values.append(value)
+            return
+        for gid, value in zip(row_ids.tolist(), values):
+            self._offer_best(spec, states[gid], value)
+
+    @staticmethod
+    def _offer_best(spec: AggSpec, state: _AggState, value) -> None:
+        """min/max: keep ``value`` if it beats the group's best so far
+        (ties keep the earlier value, like the row engine)."""
+        if state.best is None:
+            state.best = value
+        elif spec.kind == "min":
+            if sort_key(value) < sort_key(state.best):
+                state.best = value
+        elif sort_key(value) > sort_key(state.best):
+            state.best = value
+
+    def _min_max(self, spec: AggSpec, states, col: Column, rows, row_ids) -> bool:
+        """min/max by a stable first-hit per group, so ties keep the
+        earliest value object, like the row engine.  Pure-int columns
+        order as int64 so values past 2**53 keep their exact order;
+        False when the dtype cannot represent the values exactly (or NaN,
+        whose ordering sort_key defines) — the row loop compares those."""
+        if isinstance(col, ValueColumn) and col.values.dtype in (_I64, np.float64):  # typed: read as is
+            arr = col.values[rows]
+            present = None
             ordkeys = None if arr.dtype == np.float64 and np.isnan(arr).any() else arr
         else:
+            present = col.to_objects()[rows].tolist()
+            if not set(map(type, present)) <= _NUMERIC_TYPES:
+                return False
             ordkeys = _exact_keys(present)
         if ordkeys is None:
             return False
         if spec.kind == "min":
             primary = ordkeys
         else:
-            if ordkeys.dtype == _I64 and bool(
-                (ordkeys == np.iinfo(np.int64).min).any()
-            ):
+            if ordkeys.dtype == _I64 and bool((ordkeys == np.iinfo(np.int64).min).any()):
                 return False  # negating INT64_MIN wraps onto itself
             primary = -ordkeys
-        order = np.lexsort((np.arange(len(nz)), primary))
-        sorted_codes = nz_codes[order]
-        uniq_codes, first_pos = np.unique(sorted_codes, return_index=True)
-        for code, pos in zip(uniq_codes.tolist(), first_pos.tolist()):
-            at = int(order[pos])
-            value = arr.item(at) if present is None else present[at]
-            state = states_by_code[code][spec_idx]
-            state.count += int(counts[code])
-            if state.best is None:
-                state.best = value
-            elif spec.kind == "min":
-                if sort_key(value) < sort_key(state.best):
-                    state.best = value
-            elif sort_key(value) > sort_key(state.best):
-                state.best = value
+        order = np.lexsort((np.arange(len(rows)), primary))
+        uniq_ids, first_pos = np.unique(row_ids[order], return_index=True)
+        for gid, at in zip(uniq_ids.tolist(), order[first_pos].tolist()):
+            self._offer_best(spec, states[gid], arr.item(at) if present is None else present[at])
         return True
 
     @staticmethod
-    def _count_distinct(col: Column, nulls, codes, states_by_code, spec_idx) -> bool:
+    def _first_seen(states, gids, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The DISTINCT row loop: of ``rows``, those whose value is new to
+        its group's seen set (recorded as they pass)."""
+        keep = []
+        for row, gid in zip(rows.tolist(), gids[rows].tolist()):
+            state = states[gid]
+            if state.seen_keys:
+                state.fold_seen_keys()
+            key = _hashable(values[row])
+            if key not in state.seen:
+                state.seen.add(key)
+                keep.append(row)
+        return np.array(keep, dtype=_I64)
+
+    @staticmethod
+    def _count_distinct(groups: _Groups, i: int, col: Column, nulls, gids) -> bool:
         """Handle-free ``count(DISTINCT x)``: per group, the batch's unique
         keys minus the state's seen set (both of its forms, see
         :class:`_AggState`) add to the count and to ``seen_keys``.  False
@@ -549,20 +590,19 @@ class Aggregate(PlanOp):
             if keys is None or keys.dtype == np.float64:
                 return False
             domain = "int" if keys.dtype == _I64 else "str"
-        if len(states_by_code) == 1:
+        if len(groups.keys) == 1:
             runs = [(0, K.sorted_unique(keys))]
         else:
             # unique (group, key) pairs, ordered by group then key
             uniq, inverse = np.unique(keys, return_inverse=True)
-            pairs = K.sorted_unique(codes[nz] * len(uniq) + inverse)
-            pair_codes = pairs // len(uniq)
+            pairs = K.sorted_unique(gids[nz] * len(uniq) + inverse)
+            pair_ids = pairs // len(uniq)
             pair_keys = uniq[pairs % len(uniq)]
-            bounds = np.append(K.run_starts(pair_codes), len(pairs)).tolist()
-            runs = [
-                (int(pair_codes[lo]), pair_keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-            ]
-        for code, fresh in runs:
-            state = states_by_code[code][spec_idx]
+            bounds = np.append(K.run_starts(pair_ids), len(pairs)).tolist()
+            runs = [(int(pair_ids[lo]), pair_keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        states = groups.states[i]
+        for gid, fresh in runs:
+            state = states[gid]
             seen = state.seen_keys.get(domain)
             if seen is not None:
                 fresh = fresh[~K.membership(seen, fresh)[0]]
@@ -570,82 +610,27 @@ class Aggregate(PlanOp):
                 hashed = _domain_hashables(domain, fresh)
                 fresh = fresh[np.fromiter((h not in state.seen for h in hashed), np.bool_, len(hashed))]
             if len(fresh):
-                state.count += len(fresh)
+                groups.counts[i, gid] += len(fresh)
                 # disjoint sorted runs, which a stable sort merges
                 state.seen_keys[domain] = (
                     fresh if seen is None else np.sort(np.concatenate([seen, fresh]), kind="stable")
                 )
         return True
 
-    def _accumulate_rows_one(self, spec, col, codes, states_by_code, spec_idx, n) -> None:
-        codes_list = codes.tolist()
-        for i in range(n):
-            state = states_by_code[codes_list[i]][spec_idx]
-            self._accumulate_value(spec, state, None if col is None else col[i])
-
-    def _absorb_rows(self, groups, key_cols, val_cols, specs, n) -> None:
-        hash_cols = [c.hash_keys() for c in key_cols]
-        obj_cols: List[Optional[np.ndarray]] = [None] * len(key_cols)
-        vals = [None if c is None else c.to_objects() for c in val_cols]
-        for i in range(n):
-            key = tuple(h[i] for h in hash_cols)
-            entry = groups.get(key)
-            if entry is None:
-                key_values = []
-                for c_idx, col in enumerate(key_cols):
-                    if obj_cols[c_idx] is None:
-                        obj_cols[c_idx] = col.to_objects()
-                    key_values.append(obj_cols[c_idx][i])
-                entry = (key_values, [_AggState() for _ in specs])
-                groups[key] = entry
-            states = entry[1]
-            for spec, state, col in zip(specs, states, vals):
-                self._accumulate_value(spec, state, None if col is None else col[i])
-
     @staticmethod
-    def _accumulate_value(spec: AggSpec, state: _AggState, value) -> None:
-        if spec.expr is None:  # count(*)
-            state.count += 1
-            return
-        if value is None:
-            return
-        if spec.distinct:
-            if state.seen_keys:
-                state.fold_seen_keys()
-            key = _hashable(value)
-            if key in state.seen:
-                return
-            state.seen.add(key)
-        state.count += 1
-        if spec.kind == "sum" or spec.kind == "avg":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise CypherTypeError(f"{spec.kind}() expects numeric values")
-            state.total += value
-        elif spec.kind == "collect":
-            state.values.append(value)
-        elif spec.kind in ("min", "max"):
-            if state.best is None:
-                state.best = value
-            else:
-                if spec.kind == "min":
-                    if sort_key(value) < sort_key(state.best):
-                        state.best = value
-                elif sort_key(value) > sort_key(state.best):
-                    state.best = value
-
-    @staticmethod
-    def _finalize(spec: AggSpec, state: _AggState):
+    def _finalize(spec: AggSpec, counts: list, totals: list, states: Optional[list]) -> list:
+        """One aggregate's result per group, from its count and total
+        arrays (as lists) and its states."""
         if spec.kind == "count":
-            return state.count
+            return counts
         if spec.kind == "sum":
-            total = state.total
-            return int(total) if float(total).is_integer() else total
+            return [int(t) if t.is_integer() else t for t in totals]
         if spec.kind == "avg":
-            return None if state.count == 0 else state.total / state.count
+            return [None if c == 0 else t / c for c, t in zip(counts, totals)]
         if spec.kind == "collect":
-            return state.values
+            return [state.values for state in states]
         if spec.kind in ("min", "max"):
-            return state.best
+            return [state.best for state in states]
         raise CypherTypeError(f"unknown aggregate {spec.kind}")  # pragma: no cover
 
 
@@ -692,7 +677,7 @@ class Sort(PlanOp):
         # float64 would; strings sort ascending only (no negation).  A
         # typed numeric column is its own key (string codes are not
         # ordered like the strings)
-        arr = _typed_keys(col) if col.codes is None else None
+        arr = _typed_keys(col)
         if arr is None or arr.dtype == np.bool_:
             arr = _exact_keys(col.tolist())
         if arr is None:

@@ -268,6 +268,12 @@ class Graph:
         """Edge-side twin of :meth:`node_property_column`."""
         return self._property_column(self._edges, ids, key)
 
+    def string_pool(self, kind: str, key: str) -> Optional[List[str]]:
+        """The pool the codes of a ``"node"`` or ``"edge"`` string property
+        index (None for any other column); see ``PropertyStore.pool``."""
+        block = self._nodes if kind == "node" else self._edges
+        return block.store.pool(self.attrs.lookup(key))
+
     def _property_column(self, block: DataBlock, ids, key: str):
         if not isinstance(ids, np.ndarray):
             ids = np.asarray(ids, dtype=np.int64)

@@ -193,6 +193,13 @@ class PropertyStore:
             return col.pool_arr.take(codes), col.nulls[ids], codes
         return col.values[ids], col.nulls[ids], None
 
+    def pool(self, aid: Optional[int]) -> Optional[List[str]]:
+        """The pool a string column's codes index (None for any other
+        column): appended to in place, so a code keeps its string, until a
+        rebuild swaps in a new list with new codes."""
+        col = self._cols.get(aid)
+        return col.pool if col is not None and col.pytype is str else None
+
     def objects(self, ids: np.ndarray, aid: Optional[int]) -> list:
         """The column at ``ids`` as Python values, None where absent."""
         values, nulls, _ = self.gather(ids, aid)

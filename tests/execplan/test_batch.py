@@ -101,6 +101,29 @@ class TestRecordBatch:
         assert isinstance(merged.columns[0], EntityColumn)
         assert merged.columns[0].ids.tolist() == [0, 1, 3]
 
+    def test_concat_keeps_typed_columns(self):
+        """Pieces of one typed dtype concatenate as that dtype with their
+        null masks; mixed dtypes fall back to objects, so ``1`` and ``1.0``
+        keep their types, and a string gather's codes are dropped."""
+        layout = Layout(["x"])
+        ints = RecordBatch(layout, [ValueColumn(np.array([3, 1], dtype=np.int64))])
+        holed = RecordBatch(layout, [ValueColumn(np.array([0, 2], dtype=np.int64), np.array([True, False]))])
+        col = RecordBatch.concat(layout, [ints, holed]).columns[0]
+        assert col.values.dtype == np.int64 and col.codes is None
+        assert col.nulls.tolist() == [False, False, True, False]
+        assert col.to_objects().tolist() == [3, 1, None, 2]
+        floats = RecordBatch(layout, [ValueColumn(np.array([0.5, -0.0]))])
+        col = RecordBatch.concat(layout, [floats, floats]).columns[0]
+        assert col.values.dtype == np.float64 and col.nulls is None
+        mixed = RecordBatch.concat(layout, [ints, RecordBatch(layout, [ValueColumn(np.array([1.0]))])]).columns[0]
+        assert mixed.values.dtype == object
+        assert [(type(v), v) for v in mixed.values] == [(int, 3), (int, 1), (float, 1.0)]
+        pool = ["a", "b"]
+        codes = np.array([1, 0], dtype=np.int32)
+        strings = RecordBatch(layout, [ValueColumn(object_column(["b", "a"]), None, codes, pool)])
+        col = RecordBatch.concat(layout, [strings, strings]).columns[0]
+        assert col.codes is None and col.to_objects().tolist() == ["b", "a", "b", "a"]
+
     def test_as_entity_ids_recovers_from_object_columns(self):
         g = Graph("t")
         n0 = g.create_node(["L"], {})

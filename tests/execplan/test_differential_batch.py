@@ -406,3 +406,172 @@ def test_typed_bool_group_keys_meet_row_loop_keys():
     assert runs[0][0] == [(None, 1), (False, 734), (True, 366)]
     assert runs[0][1] == [(None, 2), (False, 734), (1, 550), (0, 550), (True, 366)]
     assert all(run == runs[0] for run in runs)
+
+
+# Group-by battery: one key of each kind per query, under count, sum, avg,
+# min, max and count(DISTINCT) in one RETURN, over 1 100 nodes, so that
+# at every batch size some groups first appear in a later batch (`s` =
+# 'late' only past row 1 050) and pin the emission order.  Float values
+# are multiples of 1/4, so that sums are exact in any association.
+_GROUP_ROWS = 1100
+_INT64_MIN = -(2**63)
+
+
+@pytest.fixture(scope="module")
+def group_db():
+    n = _GROUP_ROWS
+    d = GraphDB("diff-group", GraphConfig(node_capacity=2048))
+    # the pool numbers these strings against their order of appearance
+    # in the :G scan, so that pool codes cannot stand in for that order
+    d.query("UNWIND ['late', 's0', 's6', 's5', 's4', 's3', 's2', 's1'] AS s CREATE (:Pre {s: s})")
+    props = {
+        "i": list(range(n)),
+        # pooled strings with a null group, and one group only at the end
+        "s": [None if i % 10 == 0 else "late" if i >= 1050 else f"s{i % 7}" for i in range(n)],
+        "h": [(i % 9) * 0.5 for i in range(n)],
+        "c": [i % 17 for i in range(n)],
+        "m": [[1, 1.0, 2, 2.5][i % 4] for i in range(n)],  # 1 meets 1.0
+        # typed bool, with nulls only in the last rows (the row loop then)
+        "flag": [None if i >= 1030 and i % 2 else i % 3 == 0 for i in range(n)],
+        "x": [float("nan") if i % 50 == 0 else (i % 4) * 0.25 for i in range(n)],
+        "big": [_BIG + i % 3 for i in range(n)],
+        "bigmix": [[_BIG + 1, float(_BIG)][i % 2] for i in range(n)],
+        "lo": [_INT64_MIN if i % 100 == 7 else i for i in range(n)],
+    }
+    src = [i for i in range(n) if i % 3]
+    d.bulk_insert(
+        nodes=[{"labels": ["G"], "properties": props}],
+        edges=[{"type": "E", "src": src, "dst": [(i * 7) % n for i in src]}],
+    )
+    return d
+
+
+_AGGS = "count(*), count(n.s), sum(n.i), avg(n.h), min(n.i), max(n.h), min(n.s), count(DISTINCT n.c)"
+GROUP_QUERIES = [
+    f"MATCH (n:G) RETURN n.s, {_AGGS}",
+    f"MATCH (n:G) RETURN n.i % 13, {_AGGS}",
+    f"MATCH (n:G) RETURN n.h, {_AGGS}",
+    f"MATCH (n:G) RETURN n.m, {_AGGS}",
+    f"MATCH (n:G) RETURN n.flag, {_AGGS}",
+    "MATCH (n:G) UNWIND [n.flag, n.i % 2] AS k RETURN k, count(*), sum(n.i)",
+    f"MATCH (n:G) RETURN n.x, {_AGGS}",
+    f"MATCH (n:G) RETURN n.big, {_AGGS}",
+    f"MATCH (n:G) RETURN n.bigmix, {_AGGS}",
+    "MATCH (n:G) RETURN n.s, max(n.lo), min(n.lo), count(DISTINCT n.lo)",
+    "MATCH (n:G) RETURN n.s, n.i % 2, count(*), avg(n.h)",
+    f"MATCH (n:G) RETURN {_AGGS}",
+    "MATCH (a:G) OPTIONAL MATCH (a)-[:E]->(n) RETURN n, count(*), count(n), max(n.h), count(DISTINCT a.c)",
+    "MATCH (a:G) OPTIONAL MATCH (a)-[:E]->(n) WHERE n.i > 500 RETURN n.s, count(*), sum(n.i)",
+    "MATCH (a:G)-[e:E]->(n) RETURN e, count(*), collect(n.i)",
+    "MATCH (a:G)-[:E]->(n) RETURN a.i % 3, min(n), max(n), collect(DISTINCT n.i % 4)",
+]
+
+
+@pytest.mark.parametrize("query", GROUP_QUERIES)
+def test_group_table_matches_row_engine(group_db, query):
+    cfg = group_db.graph.config
+    runs = {}
+    for size in BATCH_SIZES:
+        cfg.exec_batch_size = size
+        try:
+            # repr: NaN keys compare by their text (each NaN is a group)
+            runs[size] = repr(_normalize(group_db.query(query).rows))
+        finally:
+            cfg.exec_batch_size = 1024
+    assert runs[1] == runs[7] == runs[1024], query
+
+
+@pytest.mark.parametrize("kind", ["sum", "avg"])
+def test_numeric_aggregates_over_entities_raise(group_db, kind):
+    """sum/avg over nodes is a type error at every batch size (an id
+    column is not a number column)."""
+    from repro.errors import CypherTypeError
+
+    for size in BATCH_SIZES:
+        group_db.graph.config.exec_batch_size = size
+        try:
+            with pytest.raises(CypherTypeError):
+                group_db.query(f"MATCH (n:G) RETURN n.i % 2, {kind}(n)")
+        finally:
+            group_db.graph.config.exec_batch_size = 1024
+
+
+def test_group_table_emission_order(group_db):
+    """Groups come out in first-appearance order, the late one last."""
+    for size in BATCH_SIZES:
+        group_db.graph.config.exec_batch_size = size
+        try:
+            keys = [r[0] for r in group_db.query("MATCH (n:G) RETURN n.s, count(*)").rows]
+        finally:
+            group_db.graph.config.exec_batch_size = 1024
+        assert keys == [None, "s1", "s2", "s3", "s4", "s5", "s6", "s0", "late"], size
+
+
+def _replay_aggregate(graph, batches, layout, size):
+    """``count(*)`` grouped by slot 0 over hand-built batches."""
+    from repro.cypher import ast_nodes as A
+    from repro.execplan.expressions import ExecContext, compile_expr
+    from repro.execplan.ops_base import PlanOp
+    from repro.execplan.ops_stream import Aggregate, AggSpec
+
+    class Replay(PlanOp):
+        def _produce_batches(self, ctx):
+            yield from batches
+
+    key = compile_expr(A.Identifier(layout.names[0]), layout)
+    agg = Aggregate(Replay([], layout), [("k", key)], [("c", AggSpec("count", None, False))])
+    ctx = ExecContext(graph)
+    ctx.batch_size = size
+    return [tuple(r) for b in agg.produce_batches(ctx) for r in b.iter_rows()]
+
+
+def test_group_codes_from_two_pool_versions_group_by_string():
+    """Batches whose codes index two versions of one string pool — before
+    and after the rebuild that fresh SETs bring about, which renumbers the
+    codes — still group by string value."""
+    import numpy as np
+
+    from repro.execplan.batch import RecordBatch, gathered_column
+    from repro.execplan.record import Layout
+
+    d = GraphDB("pool-versions")
+    d.query("CREATE (:S {s: 'a'})")
+    d.query("UNWIND range(1, 4) AS i CREATE (:S {s: 'b'})")
+    graph, ids = d.graph, np.arange(5)
+    before = gathered_column(graph, "node", ids, "s")
+    fresh = 0
+    while graph.string_pool("node", "s") is before.pool:  # until the pool rebuilds
+        d.query("MATCH (n:S) WHERE id(n) = 0 SET n.s = $s", {"s": f"fresh{fresh}"})
+        fresh += 1
+    d.query("MATCH (n:S) WHERE id(n) = 0 SET n.s = 'a'")
+    after = gathered_column(graph, "node", ids, "s")
+    assert after.to_objects().tolist() == before.to_objects().tolist() == ["a", "b", "b", "b", "b"]
+    assert after.pool is not before.pool and after.codes[1] == before.codes[0]  # 'b' took 'a''s code
+    layout = Layout(["k"])
+    batches = [RecordBatch(layout, [before]), RecordBatch(layout, [after]), RecordBatch(layout, [before])]
+    for size in BATCH_SIZES:
+        assert _replay_aggregate(graph, batches, layout, size) == [("a", 3), ("b", 12)], size
+
+
+def test_group_keys_meet_across_column_kinds():
+    """An int64 batch, a float64 batch, an object batch (the row loop:
+    bools and null) and a string batch share one table: 1 and 1.0 meet,
+    true stays apart, and each group keeps its first-seen value."""
+    import numpy as np
+
+    from repro.execplan.batch import RecordBatch, ValueColumn, object_column
+    from repro.execplan.record import Layout
+
+    d = GraphDB("column-kinds")
+    layout = Layout(["k"])
+    batches = [
+        RecordBatch(layout, [ValueColumn(np.array([1, 2, 1], dtype=np.int64))]),
+        RecordBatch(layout, [ValueColumn(np.array([1.0, 3.5, 2.0]))]),
+        RecordBatch(layout, [ValueColumn(object_column([True, 1, None, 3.5]))]),
+        RecordBatch(layout, [ValueColumn(object_column(["1", 2.0, 1]))]),
+        RecordBatch(layout, [ValueColumn(np.array([True, False]))]),
+    ]
+    expected = [(1, 5), (2, 3), (3.5, 2), (True, 2), (None, 1), ("1", 1), (False, 1)]
+    for size in BATCH_SIZES:
+        got = _replay_aggregate(d.graph, batches, layout, size)
+        assert got == expected and [type(k) for k, _ in got] == [type(k) for k, _ in expected], size

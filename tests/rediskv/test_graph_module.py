@@ -150,3 +150,50 @@ def test_entity_replies_read_one_committed_state():
         assert len({p["gen"] for p in props}) <= 1
         assert sorted(p["i"] for p in props) in ([], list(range(1, 201)))
         assert all(p["s"] == f"g{p['gen']}" for p in props)
+
+
+def test_readers_are_not_starved_by_a_writer_that_never_pauses():
+    """Three readers run 150 ``RETURN n`` each against a writer looping
+    DELETE/CREATE with no gap: the readers queued when a write ends get
+    the lock before that writer's next write, so all 450 reads finish in
+    seconds, and the writer keeps committing while they run."""
+    module = GraphModule(Keyspace(), GraphConfig())
+    create = "UNWIND range(1, 50) AS i CREATE (:P {{gen: {0}, i: i}})"
+    module.query("g", create.format(0))
+    reading = threading.Event()
+    reading.set()
+    writes, gens, errors = [0], set(), []
+
+    def write():
+        gen = 0
+        while reading.is_set():
+            gen += 1
+            module.query("g", "MATCH (n:P) DELETE n")
+            module.query("g", create.format(gen))
+            writes[0] += 2
+
+    def read():
+        try:
+            for _ in range(150):
+                rows = on_the_wire(module.query("g", "MATCH (n:P) RETURN n"))[1]
+                gens.update(dict(map(tuple, row[0][3]))["gen"] for row in rows)
+        except Exception as exc:  # noqa: BLE001 - every failure is a finding
+            errors.append(exc)
+
+    writer = threading.Thread(target=write)
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    start = time.perf_counter()
+    writer.start()
+    for t in readers:
+        t.start()
+    for t in readers:
+        t.join(timeout=60)
+    elapsed = time.perf_counter() - start
+    written = writes[0]
+    reading.clear()
+    writer.join(timeout=60)
+    assert errors == [] and not any(t.is_alive() for t in readers)
+    assert elapsed < 5, f"450 reads took {elapsed:.1f} s"
+    # the writer was not starved either: it committed all along, and the
+    # readers saw several of its generations
+    assert written >= 20 and len(gens) >= 3
