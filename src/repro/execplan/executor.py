@@ -31,7 +31,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cypher.autoparam import lift_literals
-from repro.errors import CypherSemanticError, GraphError, ReproError
+from repro.errors import CypherSemanticError, CypherTypeError, GraphError, ReproError
 from repro.execplan.compiled import CompiledQuery, PlanSchema, compile_query
 from repro.execplan.expressions import ExecContext
 from repro.execplan.plan_cache import PlanCache
@@ -151,7 +151,10 @@ class QueryEngine:
         started = time.perf_counter()
         lock = self.graph.lock.write() if compiled.writes else self.graph.lock.read()
         with lock:
-            result = self._run(compiled, ctx, stats)
+            try:
+                result = self._run(compiled, ctx, stats)
+            except OverflowError as exc:  # a number past float64: 10^400, sum() over 10**400
+                raise CypherTypeError(f"numeric overflow: {exc.args[-1] if exc.args else exc}") from None
             if on_commit is not None and compiled.writes:
                 on_commit()
             stats.execution_time_ms = (time.perf_counter() - started) * 1e3

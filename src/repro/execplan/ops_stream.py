@@ -70,12 +70,19 @@ _NoneType = type(None)
 _NUMERIC_TYPES = frozenset((int, float))
 
 
+_NAN_KEY = ("nan",)
+
+
 def _hashable(value) -> Any:
     """Turn any runtime value into a hashable grouping/dedup key.  Bools
     are tagged (at any depth): ``true = 1`` is false, so they must not
-    share a key, while ``1`` and ``1.0`` do."""
+    share a key, while ``1`` and ``1.0`` do.  Every NaN (at any depth)
+    is one key: grouping and DISTINCT put NaN with NaN, where a NaN as a
+    dict key would only match the very same float object."""
     if isinstance(value, bool):
         return ("bool", value)
+    if isinstance(value, float) and value != value:
+        return _NAN_KEY
     if isinstance(value, Node):
         return ("node", value.id)
     if isinstance(value, Edge):

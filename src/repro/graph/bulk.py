@@ -346,7 +346,6 @@ class BulkWriter:
             ids = graph._nodes.alloc_many([_NodeRecord(label_ids) for _ in range(nb.count)])
             report.properties_set += _install(graph._nodes, graph, ids, nb.props)
             node_ids[nb.start : nb.start + nb.count] = ids
-            graph.stats.nodes_created_bulk(label_ids, nb.count)
             for lid in label_ids:
                 by_label.setdefault(lid, []).append(ids)
         report.nodes_created = self._node_total
@@ -368,7 +367,6 @@ class BulkWriter:
             edge_ids = graph._edges.alloc_many(records)
             report.properties_set += _install(graph._edges, graph, edge_ids, eb.props)
             report.relationships_created += len(records)
-            graph.stats.edge_records_created_bulk(rid, len(records))
             by_rel.setdefault(rid, []).append((edge_ids, src, dst))
         all_src: List[np.ndarray] = []
         all_dst: List[np.ndarray] = []
@@ -380,9 +378,6 @@ class BulkWriter:
             all_dst.append(dst)
         if all_src:
             graph._adj.union_splice(np.concatenate(all_src), np.concatenate(all_dst))
-        for rid in by_rel:
-            # one vectorized pass per touched type beats a stats op per edge
-            graph.stats.rebuild_rel(rid)
 
         # -- index backfill: one bulk insert per index from the property
         # columns (a vector index trains once over the whole ingest) -----

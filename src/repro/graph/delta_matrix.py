@@ -166,14 +166,22 @@ class DeltaMatrixView:
 
     def row_degree(self) -> np.ndarray:
         """Stored entries per row under the overlay (out-degree vector)."""
-        deg = np.diff(self._vbase.indptr).astype(_I64, copy=True)
-        if len(self._add) or len(self._del):
+        return self._degree(np.diff(self._vbase.indptr).astype(_I64, copy=False), 0)
+
+    def col_degree(self) -> np.ndarray:
+        """Stored entries per column under the overlay (in-degree vector),
+        counted off the base's column indices: no transpose is built."""
+        return self._degree(np.bincount(self._vbase.indices, minlength=self.ncols), 1)
+
+    def _degree(self, deg: np.ndarray, axis: int) -> np.ndarray:
+        """``deg`` (the base's per-row or per-column counts) with the
+        effective deltas applied."""
+        if not self._clean:
             add_eff, del_eff = self._effective()
-            n = self._vbase.ncols
-            if len(add_eff):
-                deg += np.bincount(add_eff // _I64(n), minlength=self.nrows)
-            if len(del_eff):
-                deg -= np.bincount(del_eff // _I64(n), minlength=self.nrows)
+            n = _I64(self._vbase.ncols)
+            for keys, sign in ((add_eff, 1), (del_eff, -1)):
+                if len(keys):
+                    deg += sign * np.bincount(keys // n if axis == 0 else keys % n, minlength=len(deg))
         return deg
 
     # -- bulk views ------------------------------------------------------

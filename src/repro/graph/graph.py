@@ -104,7 +104,7 @@ class Graph:
         self._composite_indices: Dict[Tuple[int, Tuple[int, ...]], CompositeIndex] = {}
         self._vector_indices: Dict[Tuple[int, int], VectorIndex] = {}
         self._schema_epoch = 0  # index/config changes (labels/reltypes count via Schema.version)
-        self.stats = StatisticsStore(self)  # cost-model input, write-side maintained
+        self.stats = StatisticsStore(self)  # cost-model input, derived from storage when read
 
     # ------------------------------------------------------------------
     # Schema versioning (plan-cache invalidation)
@@ -173,7 +173,6 @@ class Graph:
         for index in self._all_indexes():
             if index.label_id in label_ids:
                 index.index_node(node_id, props)
-        self.stats.node_created(label_ids)
         return Node(self, node_id)
 
     def delete_node(self, node_id: int, *, detach: bool = False) -> int:
@@ -195,16 +194,12 @@ class Graph:
         adj_pairs = set()
         for rid, ((out_keys, out_ids), (in_keys, in_ids)) in enumerate(zip(outs, ins)):
             self._drop_edges(rid, out_ids.tolist() + in_ids.tolist())
-            pairs = [(node_id, dst) for dst in (out_keys & _LOW).tolist()]
-            pairs += [(src, node_id) for src in (in_keys & _LOW).tolist()]
-            matrix, seen = self._rel_matrices[rid], set()
+            pairs = {(node_id, dst) for dst in (out_keys & _LOW).tolist()}
+            pairs.update((src, node_id) for src in (in_keys & _LOW).tolist())
+            matrix = self._rel_matrices[rid]
             for src, dst in pairs:
-                first = (src, dst) not in seen
-                if first:
-                    seen.add((src, dst))
-                    matrix.delete(src, dst)
-                self.stats.edge_deleted(rid, src, dst, first)
-            adj_pairs |= seen
+                matrix.delete(src, dst)
+            adj_pairs |= pairs
         for src, dst in adj_pairs:
             self._adj.delete(src, dst)
         for lid in record.labels:
@@ -213,7 +208,6 @@ class Graph:
             if index.label_id in record.labels:
                 index.unindex_node(node_id, _Cells(self._nodes, node_id))
         self._nodes.free(node_id)
-        self.stats.node_deleted(record.labels)
         return count
 
     def has_node(self, node_id: int) -> bool:
@@ -352,7 +346,6 @@ class Graph:
             return
         record.labels = record.labels + (lid,)
         self._label_matrix_for(lid).add(node_id, node_id)
-        self.stats.label_added(lid)
         for index in self._all_indexes():
             if index.label_id == lid:
                 index.index_node(node_id, _Cells(self._nodes, node_id))
@@ -364,7 +357,6 @@ class Graph:
             return False
         record.labels = tuple(l for l in record.labels if l != lid)
         self._label_matrices[lid].delete(node_id, node_id)
-        self.stats.label_removed(lid)
         for index in self._all_indexes():
             if index.label_id == lid:
                 index.unindex_node(node_id, _Cells(self._nodes, node_id))
@@ -396,14 +388,11 @@ class Graph:
         store = self._edges.store
         for key, value in (properties or {}).items():
             store.set(edge_id, self.attrs.intern(key), value)
-        matrix = self._rel_matrix_for(rid)
-        new_entry = not matrix.has(src, dst)
-        matrix.add(src, dst)
+        self._rel_matrix_for(rid).add(src, dst)
         self._adj.add(src, dst)
         by_src, by_dst = self._edge_ids_for(rid)
         by_src.add(edge_id, pair_keys(src, dst))
         by_dst.add(edge_id, pair_keys(dst, src))
-        self.stats.edge_created(rid, src, dst, new_entry)
         return Edge(self, edge_id)
 
     def delete_edge(self, edge_id: int) -> None:
@@ -418,7 +407,6 @@ class Graph:
             # type still connects the pair
             if not any(m.has(src, dst) for m in self._rel_matrices):
                 self._adj.delete(src, dst)
-        self.stats.edge_deleted(rid, src, dst, last)
 
     def _drop_edges(self, rid: int, eids: List[int]) -> None:
         """Free the records of live edges of one type and drop their ids."""

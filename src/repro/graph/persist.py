@@ -368,10 +368,6 @@ def _load_v2(data, meta: Dict[str, Any]) -> Graph:
             # bucket assignment is a pure function of (flat matrix,
             # centroids), so the restored IVF layout matches the saved one
             index.install_centroids(np.asarray(data[key], dtype=np.float64))
-
-    # statistics: one vectorized rebuild; WAL replay (which runs through
-    # the normal write paths) keeps them maintained from here on
-    graph.stats.rebuild(edge_rels=e_rel)
     return graph
 
 

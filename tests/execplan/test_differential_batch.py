@@ -474,7 +474,7 @@ def test_group_table_matches_row_engine(group_db, query):
     for size in BATCH_SIZES:
         cfg.exec_batch_size = size
         try:
-            # repr: NaN keys compare by their text (each NaN is a group)
+            # repr: a NaN key is not equal to itself, so rows compare by text
             runs[size] = repr(_normalize(group_db.query(query).rows))
         finally:
             cfg.exec_batch_size = 1024
@@ -494,6 +494,65 @@ def test_numeric_aggregates_over_entities_raise(group_db, kind):
                 group_db.query(f"MATCH (n:G) RETURN n.i % 2, {kind}(n)")
         finally:
             group_db.graph.config.exec_batch_size = 1024
+
+
+NAN_QUERIES = {
+    "MATCH (n:N) RETURN n.x, count(*)": [(None, 1), ("nan", 3), (1.0, 1)],
+    "MATCH (n:N) RETURN count(DISTINCT n.x)": [(2,)],
+    "MATCH (n:N) RETURN DISTINCT n.x": [(None,), ("nan",), (1.0,)],
+    "MATCH (n:N) RETURN n.x UNION MATCH (n:N) RETURN n.x": [(None,), ("nan",), (1.0,)],
+    "MATCH (n:N) RETURN collect(DISTINCT n.x)": [(["nan", 1.0],)],
+    "MATCH (n:N) RETURN [n.x] AS l, {x: n.x} AS m, count(*)": [
+        ([None], {"x": None}, 1), (["nan"], {"x": "nan"}, 3), ([1.0], {"x": 1.0}, 1)
+    ],
+}
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_nan_keys_group_together(size):
+    """Every NaN is one grouping and DISTINCT key, as openCypher says, at
+    any nesting depth — each gathered NaN is a fresh float object, so a
+    key that hashed the object itself made one group per row."""
+    import math
+
+    def text(value):
+        if isinstance(value, float) and math.isnan(value):
+            return "nan"
+        if isinstance(value, list):
+            return [text(v) for v in value]
+        if isinstance(value, dict):
+            return {k: text(v) for k, v in value.items()}
+        return value
+
+    d = GraphDB("nan-keys", GraphConfig(exec_batch_size=size))
+    d.query("CREATE (:N)")
+    d.query("UNWIND range(0, 2) AS i CREATE (:N {x: 0.0 / 0.0})")
+    d.query("CREATE (:N {x: 1.0})")
+    for query, expected in NAN_QUERIES.items():
+        assert [tuple(text(v) for v in row) for row in d.query(query).rows] == expected, query
+
+
+OVERFLOWS = [
+    ("UNWIND $xs AS x RETURN sum(x)", {"xs": [10**400]}),
+    ("UNWIND $xs AS x RETURN avg(x)", {"xs": [10**400]}),
+    ("UNWIND $xs AS x RETURN x % 2, sum(x)", {"xs": [1, 10**400, 3]}),
+    ("RETURN 10^400", None),
+    ("MATCH (n:N) RETURN n.i ^ 400", None),
+    ("MATCH (n:N) WHERE n.i ^ 400 > 0 RETURN count(*)", None),
+]
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+@pytest.mark.parametrize("query, params", OVERFLOWS)
+def test_numeric_overflow_is_a_cypher_error(size, query, params):
+    """A number past float64 is a Cypher type error on the row and the
+    vector path alike, not a Python OverflowError."""
+    from repro.errors import CypherTypeError
+
+    d = GraphDB("overflow", GraphConfig(exec_batch_size=size))
+    d.query("UNWIND range(2, 9) AS i CREATE (:N {i: i})")
+    with pytest.raises(CypherTypeError, match="numeric overflow"):
+        d.query(query, params)
 
 
 def test_group_table_emission_order(group_db):

@@ -366,7 +366,7 @@ class TestPropertyFuzz:
     )
     def test_overlay_matches_dense_reference(self, ops, max_pending):
         """Random add/delete/read interleavings: every overlay read primitive
-        (has, nvals, row, row_degree, to_coo) agrees with a naive dense
+        (has, nvals, row, row_degree, col_degree, to_coo) agrees with a naive dense
         matrix, wherever flushes land — including add-then-delete and
         delete-then-re-add of one edge with no intervening flush."""
         m = DeltaMatrix(8, max_pending=max_pending)
@@ -387,6 +387,7 @@ class TestPropertyFuzz:
         assert view.nvals == int(dense.sum())
         assert m.nvals() == int(dense.sum())
         assert view.row_degree().tolist() == dense.sum(axis=1).tolist()
+        assert view.col_degree().tolist() == dense.sum(axis=0).tolist()
         rows, cols, _ = view.to_coo()
         ref_rows, ref_cols = np.nonzero(dense)
         assert rows.tolist() == ref_rows.tolist()

@@ -197,3 +197,23 @@ def test_readers_are_not_starved_by_a_writer_that_never_pauses():
     # the writer was not starved either: it committed all along, and the
     # readers saw several of its generations
     assert written >= 20 and len(gens) >= 3
+
+
+@pytest.mark.parametrize(
+    "query, params",
+    [("RETURN 10^400", None), ("UNWIND $xs AS x RETURN sum(x)", {"xs": [10**400]})],
+)
+def test_numeric_overflow_is_an_error_reply(query, params):
+    """A number past float64 comes back over RESP as a Cypher error reply,
+    and the connection keeps serving."""
+    from repro.rediskv.client import RedisClient
+    from repro.rediskv.server import RedisLikeServer
+
+    server = RedisLikeServer(port=0, config=GraphConfig(thread_count=1)).start()
+    try:
+        with RedisClient(port=server.port) as client:
+            with pytest.raises(ResponseError, match="numeric overflow"):
+                client.graph_query("g", query, params)
+            assert client.graph_query("g", "RETURN 1").rows == [(1,)]
+    finally:
+        server.stop()
