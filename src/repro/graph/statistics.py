@@ -126,7 +126,9 @@ class StatisticsStore:
         floor so small graphs never thrash the plan cache.  Reads need
         no lock: a racing writer at worst delays a move to the next read."""
         graph = self._graph
-        n = graph.node_count + sum(m.nvals() for m in graph._rel_matrices)
+        n = graph.node_count
+        for matrix in graph._rel_matrices:  # a loop: read on every plan lookup
+            n += matrix.nvals()
         a = self._epoch_anchor
         if n > a + max(64, a) or n < a - max(64, a // 2):
             self._epoch += 1
@@ -155,7 +157,7 @@ class StatisticsStore:
         with graph.lock.read():
             epoch = self.epoch
             label_counts = {}
-            for lid, matrix in enumerate(graph._label_matrices[: schema.label_count]):
+            for lid, matrix in enumerate(graph._label_matrices):
                 count = matrix.nvals()
                 if count > 0:
                     label_counts[schema.label_name(lid)] = count
